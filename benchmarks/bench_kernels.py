@@ -1,8 +1,8 @@
 """Reproducible perf harness for the vectorized hot-path kernels.
 
-Times the scalar (``backend="python"``) against the vectorized
-(``backend="numpy"``) implementations of the three cost-model hot
-paths — CDS refinement, DRP allocation and the contiguous DP — and
+Times the production numpy kernels of the cost-model hot paths — CDS
+refinement, DRP allocation (and its split scan) and the contiguous DP —
+against the scalar references in :mod:`repro.verify.reference`, and
 writes ``BENCH_core.json`` at the repository root so successive PRs
 accumulate a perf trajectory.
 
@@ -22,11 +22,14 @@ timed twice — ``scan="full"`` and ``scan="incremental"`` — with an
 in-run assert that both modes executed the identical move sequence,
 and each row records the *measured* Δc evaluation count
 (``delta_evaluations_measured``), its per-move rate and the
-``per_move_reduction`` the dirty-pair index achieves (schema v3).  The
-contiguous DP cell times divide-and-conquer against SMAWK on the same
-structure-of-arrays prefix sums and cross-checks that every method
-returns the identical cost.  Scalar backends are skipped above
-``--scalar-limit`` items and the quadratic DP oracle above
+``per_move_reduction`` the dirty-pair index achieves.  DRP has no
+scalar twin: its row times the production allocation, and a separate
+``best_split`` row times the scalar reference split scan against the
+vectorized one over the whole ordered catalogue (the range DRP splits
+first).  The contiguous DP cell times SMAWK on the structure-of-arrays
+prefix sums against the quadratic reference DP and cross-checks the
+cost (schema v4).  Scalar references are skipped above
+``--scalar-limit`` items and the quadratic DP above
 ``--dp-oracle-limit`` — O(K·N²) in pure Python is minutes at N=10k —
 with the skip recorded in the JSON rather than silently dropped.
 
@@ -64,11 +67,15 @@ from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
 from repro.core.drp import drp_allocate
 from repro.core.item import items_created
-from repro.core.kernels import HAS_NUMBA
-from repro.core.partition import PrefixSums, contiguous_optimal
+from repro.core.partition import PrefixSums, best_split_in, contiguous_optimal
+from repro.verify.reference import (
+    best_split_reference,
+    cds_refine_reference,
+    contiguous_quadratic,
+)
 from repro.workloads.generator import WorkloadSpec, generate_database
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 DEFAULT_SIZES = (100, 1000, 10000)
 DEFAULT_CHANNELS = 8
 DEFAULT_CDS_ITERATIONS = 10
@@ -176,7 +183,7 @@ def run_benchmarks(
         time_scalar = n <= scalar_limit
         profile_memory = n <= memory_profile_limit
         skip_note = (
-            f"python backend skipped above N={scalar_limit}"
+            f"scalar reference skipped above N={scalar_limit}"
             if not time_scalar
             else None
         )
@@ -188,7 +195,6 @@ def run_benchmarks(
             lambda: cds_refine(
                 cds_seed,
                 max_iterations=cds_iterations,
-                backend="numpy",
                 scan="full",
             ),
             repeats,
@@ -199,7 +205,6 @@ def run_benchmarks(
             lambda: cds_refine(
                 cds_seed,
                 max_iterations=cds_iterations,
-                backend="numpy",
                 scan="incremental",
             ),
             repeats,
@@ -210,16 +215,13 @@ def run_benchmarks(
         assert incremental.cost == vector.cost, "scan modes diverged — bug"
         python_s = None
         if time_scalar:
-            scalar = cds_refine(
-                cds_seed, max_iterations=cds_iterations, backend="python"
-            )
-            assert scalar.moves == vector.moves, "backends diverged — bug"
-            python_s = _median_seconds(
-                lambda: cds_refine(
-                    cds_seed, max_iterations=cds_iterations, backend="python"
+            python_s, scalar = _median_seconds_with_result(
+                lambda: cds_refine_reference(
+                    cds_seed, max_iterations=cds_iterations
                 ),
                 repeats,
             )
+            assert scalar.moves == vector.moves, "reference diverged — bug"
 
         def _per_move(result) -> Optional[float]:
             if not result.moves:
@@ -273,7 +275,6 @@ def run_benchmarks(
                         lambda: cds_refine(
                             cds_seed,
                             max_iterations=cds_iterations,
-                            backend="numpy",
                             scan=scan_mode,
                         )
                     )
@@ -287,90 +288,87 @@ def run_benchmarks(
             results.append(row)
 
         # --- DRP: full allocation, split-heavy policy ----------------
-        python_s = None
-        if time_scalar:
-            python_s = _median_seconds(
-                lambda: drp_allocate(
-                    database, k, split_policy="max-reduction",
-                    backend="python",
-                ),
-                repeats,
-            )
         created_before = items_created()
         numpy_s = _median_seconds(
-            lambda: drp_allocate(
-                database, k, split_policy="max-reduction", backend="numpy"
-            ),
+            lambda: drp_allocate(database, k, split_policy="max-reduction"),
             repeats,
         )
         materialized = items_created() - created_before
-        row = {
+        results.append({
             "kernel": "drp_allocate",
             "n": n,
             "k": k,
-            "python_seconds": python_s,
+            "python_seconds": None,
             "numpy_seconds": numpy_s,
-            "speedup": _speedup(python_s, numpy_s),
+            "speedup": None,
             "items_materialized": materialized,
             "tracemalloc_peak_bytes": (
                 _tracemalloc_peak(
                     lambda: drp_allocate(
-                        database, k, split_policy="max-reduction",
-                        backend="numpy",
+                        database, k, split_policy="max-reduction"
                     )
                 )
                 if profile_memory
                 else None
             ),
             "peak_rss_kb": _peak_rss_kb(),
+        })
+
+        # The DP and the split scan time the same structure-of-arrays
+        # prefix sums; building them is a one-off O(N) cumsum kept
+        # outside the timed region.
+        order = database.benefit_ratio_order()
+        sums = PrefixSums.from_arrays(
+            database.frequencies[order], database.sizes[order]
+        )
+
+        # --- Split scan: DRP's first split, reference vs kernel ------
+        numpy_s, split = _median_seconds_with_result(
+            lambda: best_split_in(sums, 0, n), repeats
+        )
+        python_s = None
+        if time_scalar:
+            python_s, scalar_split = _median_seconds_with_result(
+                lambda: best_split_reference(sums, 0, n), repeats
+            )
+            assert scalar_split == split, "reference diverged — bug"
+        row = {
+            "kernel": "best_split",
+            "n": n,
+            "k": k,
+            "python_seconds": python_s,
+            "numpy_seconds": numpy_s,
+            "speedup": _speedup(python_s, numpy_s),
         }
         if skip_note:
             row["note"] = skip_note
         results.append(row)
 
-        # --- Contiguous DP: quadratic oracle vs D&C vs SMAWK ---------
-        # All methods time the same structure-of-arrays prefix sums;
-        # building them is a one-off O(N) cumsum kept outside the
-        # timed region.
-        order = database.benefit_ratio_order()
-        sums = PrefixSums.from_arrays(
-            database.frequencies[order], database.sizes[order]
-        )
+        # --- Contiguous DP: SMAWK vs the quadratic reference ---------
         row = {"kernel": "contiguous_dp", "n": n, "k": k}
-        dc_s, (_, dc_cost) = _median_seconds_with_result(
-            lambda: contiguous_optimal(
-                None, k, method="divide-conquer", sums=sums
-            ),
-            repeats,
-        )
         smawk_s, (_, smawk_cost) = _median_seconds_with_result(
-            lambda: contiguous_optimal(None, k, method="smawk", sums=sums),
+            lambda: contiguous_optimal(None, k, sums=sums),
             repeats,
         )
-        assert dc_cost == smawk_cost, "DP methods diverged — bug"
-        row["divide_conquer_seconds"] = dc_s
         row["smawk_seconds"] = smawk_s
-        row["smawk_speedup_vs_divide_conquer"] = _speedup(dc_s, smawk_s)
         if n <= dp_oracle_limit:
             quad_s, (_, quad_cost) = _median_seconds_with_result(
-                lambda: contiguous_optimal(
-                    None, k, method="quadratic", sums=sums
-                ),
+                lambda: contiguous_quadratic(sums, k),
                 max(1, repeats if n <= 200 else 1),
             )
-            assert quad_cost == dc_cost, "DP methods diverged — bug"
+            assert quad_cost == smawk_cost, "DP reference diverged — bug"
             row["quadratic_seconds"] = quad_s
-            row["speedup"] = _speedup(quad_s, dc_s)
+            row["speedup"] = _speedup(quad_s, smawk_s)
         else:
             row["quadratic_seconds"] = None
             row["speedup"] = None
             row["note"] = (
-                f"quadratic oracle skipped above N={dp_oracle_limit} "
+                f"quadratic reference skipped above N={dp_oracle_limit} "
                 "(O(K*N^2) in pure Python)"
             )
         row["tracemalloc_peak_bytes"] = (
             _tracemalloc_peak(
-                lambda: contiguous_optimal(None, k, method="smawk", sums=sums)
+                lambda: contiguous_optimal(None, k, sums=sums)
             )
             if profile_memory
             else None
@@ -394,7 +392,6 @@ def run_benchmarks(
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": np.__version__,
-            "has_numba": HAS_NUMBA,
             "memory_notes": (
                 "peak_rss_kb is the process high-watermark (monotone "
                 "across rows); tracemalloc_peak_bytes instruments one "
@@ -414,9 +411,9 @@ def _format_report(document: dict) -> str:
     for row in document["results"]:
         label = row["kernel"]
         if row["kernel"] == "contiguous_dp":
-            base = row.get("divide_conquer_seconds")
+            base = row.get("quadratic_seconds")
             fast = row.get("smawk_seconds")
-            speedup = row.get("smawk_speedup_vs_divide_conquer")
+            speedup = row.get("speedup")
         elif row.get("scan_mode") == "incremental":
             label = f"{row['kernel']}/incr"
             base = None  # the full-scan row above is the baseline
@@ -456,11 +453,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--dp-oracle-limit", type=int, default=DEFAULT_DP_ORACLE_LIMIT,
-        help="largest N the quadratic DP oracle is timed at (default: 2000)",
+        help="largest N the quadratic reference DP is timed at "
+             "(default: 2000)",
     )
     parser.add_argument(
         "--scalar-limit", type=int, default=DEFAULT_SCALAR_LIMIT,
-        help="largest N the pure-Python backends are timed at "
+        help="largest N the pure-Python references are timed at "
              "(default: 20000)",
     )
     parser.add_argument(

@@ -45,9 +45,7 @@ from repro.core.incremental import (
     workload_fingerprint,
 )
 from repro.core.item import DataItem
-from repro.core.kernels import BACKENDS, HAS_NUMPY, resolve_backend
 from repro.core.partition import (
-    DP_METHODS,
     PrefixSums,
     best_split,
     best_split_in,
@@ -85,10 +83,6 @@ __all__ = [
     "best_split_in",
     "split_costs",
     "contiguous_optimal",
-    "DP_METHODS",
-    "BACKENDS",
-    "HAS_NUMPY",
-    "resolve_backend",
     "drp_allocate",
     "DRPResult",
     "DRPSnapshot",

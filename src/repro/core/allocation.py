@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
-from repro.core.kernels import HAS_NUMPY, np
 from repro.exceptions import InvalidAllocationError
 
 __all__ = ["ChannelAllocation", "ChannelStats"]
@@ -66,9 +67,7 @@ class ChannelStats:
 
 def _freeze_group(group):
     """Normalise one index group to its storage form (intp array)."""
-    if HAS_NUMPY:
-        return np.asarray(group, dtype=np.intp)
-    return tuple(int(i) for i in group)  # pragma: no cover - numpy baked in
+    return np.asarray(group, dtype=np.intp)
 
 
 class ChannelAllocation:
@@ -189,19 +188,11 @@ class ChannelAllocation:
             for group in self._groups:
                 if len(group) == 0:
                     stats.append(ChannelStats(0.0, 0.0, 0))
-                elif HAS_NUMPY:
+                else:
                     stats.append(
                         ChannelStats(
                             frequency=math.fsum(freq[group].tolist()),
                             size=math.fsum(size[group].tolist()),
-                            count=len(group),
-                        )
-                    )
-                else:  # pragma: no cover - numpy baked in
-                    stats.append(
-                        ChannelStats(
-                            frequency=math.fsum(freq[i] for i in group),
-                            size=math.fsum(size[i] for i in group),
                             count=len(group),
                         )
                     )
@@ -235,8 +226,6 @@ class ChannelAllocation:
 
     def assignment_array(self):
         """Channel index per item in catalogue order, as an intp array."""
-        if not HAS_NUMPY:  # pragma: no cover - numpy baked in
-            raise InvalidAllocationError("assignment_array() requires numpy")
         assignment = np.empty(len(self._database), dtype=np.intp)
         for channel, group in enumerate(self._groups):
             assignment[group] = channel
@@ -247,13 +236,7 @@ class ChannelAllocation:
 
         This is exactly the chromosome encoding GOPT uses.
         """
-        if HAS_NUMPY:
-            return self.assignment_array().tolist()
-        vector = [0] * len(self._database)  # pragma: no cover - numpy baked in
-        for channel, group in enumerate(self._groups):
-            for i in group:
-                vector[i] = channel
-        return vector
+        return self.assignment_array().tolist()
 
     def __iter__(self) -> Iterator[Tuple[DataItem, ...]]:
         return iter(self.channels)

@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core import kernels
 from repro.core.allocation import ChannelAllocation
-from repro.core.cost import allocation_cost, move_delta
-from repro.core.item import DataItem
+from repro.core.cost import allocation_cost
 
 __all__ = ["CDSMove", "CDSResult", "cds_refine"]
 
@@ -132,7 +133,6 @@ def cds_refine(
     *,
     initial: "ChannelAllocation | Sequence[Sequence[str]] | None" = None,
     max_iterations: Optional[int] = None,
-    backend: str = "auto",
     scan: str = "auto",
     scan_workers: Optional[int] = None,
 ) -> CDSResult:
@@ -152,27 +152,20 @@ def cds_refine(
         rebased onto ``allocation.database`` before the search, so the
         drifted frequencies apply.  ``allocation`` then only supplies
         the target database; its own grouping is ignored.  The rebase
-        happens once, before backend dispatch, so the python and numpy
-        backends remain bitwise-identical with or without a seed.
+        happens once, before the scan starts, so every scan mode sees
+        the identical seeded state.
     max_iterations:
         Optional hard cap on the number of moves.  ``None`` (default)
         runs to convergence, which Eq. (4) guarantees is finite: the
         total cost strictly decreases with every move and the number of
         distinct groupings is finite.
-    backend:
-        ``"python"`` — the scalar reference loop; ``"numpy"`` — one
-        broadcasted N×K Δc matrix per iteration instead of ~N·K
-        ``move_delta`` calls; ``"auto"`` (default) — numpy when
-        available.  Both backends execute the identical move sequence
-        (same floats, same first-maximum tie-break); see
-        :mod:`repro.core.kernels`.
     scan:
         ``"full"`` — re-scan every ``N·(K−1)`` (item, destination)
-        pair per iteration (the paper's loop); ``"incremental"`` —
-        maintain the dirty-pair :class:`~repro.core.kernels.CDSPairIndex`
-        so a move only re-evaluates the ~``O(N + K²)`` pairs it
-        dirtied (numpy backend only); ``"auto"`` (default) — switch to
-        incremental past
+        pair per iteration as one broadcasted Δc matrix (the paper's
+        loop); ``"incremental"`` — maintain the dirty-pair
+        :class:`~repro.core.kernels.CDSPairIndex` so a move only
+        re-evaluates the ~``O(N + K²)`` pairs it dirtied; ``"auto"``
+        (default) — switch to incremental past
         :data:`~repro.core.kernels.CDS_INCREMENTAL_SCAN_CROSSOVER`
         full-scan evaluations.  Every mode executes the bitwise-
         identical move sequence — same floats, same (origin, position,
@@ -197,16 +190,14 @@ def cds_refine(
     """
     if initial is not None:
         allocation = ChannelAllocation.rebase(allocation.database, initial)
-    resolved = kernels.resolve_backend(backend)
     num_items = len(allocation.database)
     resolved_scan = kernels.resolve_scan(
-        scan, resolved, num_items, allocation.num_channels
+        scan, num_items, allocation.num_channels
     )
     with obs.span(
         "cds.refine",
         items=num_items,
         channels=allocation.num_channels,
-        backend=resolved,
         scan=resolved_scan,
         warm_start=initial is not None,
     ) as span:
@@ -223,16 +214,14 @@ def cds_refine(
                 converged=False,
                 scan_mode=resolved_scan,
             )
-        elif resolved == "numpy" and resolved_scan == "incremental":
+        elif resolved_scan == "incremental":
             result = _cds_refine_incremental(
                 allocation,
                 max_iterations=max_iterations,
                 scan_workers=scan_workers,
             )
-        elif resolved == "numpy":
-            result = _cds_refine_numpy(allocation, max_iterations=max_iterations)
         else:
-            result = _cds_refine_python(allocation, max_iterations=max_iterations)
+            result = _cds_refine_full(allocation, max_iterations=max_iterations)
         result.scan_mode = resolved_scan
         span.update(
             moves=result.iterations,
@@ -257,128 +246,24 @@ def cds_refine(
     return result
 
 
-def _cds_refine_python(
+def _cds_refine_full(
     allocation: ChannelAllocation,
     *,
     max_iterations: Optional[int] = None,
 ) -> CDSResult:
-    """The scalar reference backend of :func:`cds_refine`."""
-    groups: List[List[DataItem]] = [list(group) for group in allocation.channels]
-    agg_f: List[float] = [stat.frequency for stat in allocation.channel_stats]
-    agg_z: List[float] = [stat.size for stat in allocation.channel_stats]
-    num_channels = len(groups)
-    initial_cost = allocation_cost(allocation)
-    current_cost = initial_cost
-    num_items = len(allocation.database)
-    evaluations = 0
-    moves: List[CDSMove] = []
-    converged = True
-    hb = obs.heartbeat("cds", rates=("delta_evaluations",))
-
-    while True:
-        if max_iterations is not None and len(moves) >= max_iterations:
-            converged = False
-            break
-        best = _best_move(groups, agg_f, agg_z, num_channels)
-        # _best_move visits every (item, destination≠origin) pair once.
-        evaluations += num_items * (num_channels - 1)
-        if hb is not None:
-            hb.beat(
-                moves=len(moves),
-                cost=current_cost,
-                delta_evaluations=evaluations,
-            )
-        if best is None:
-            break
-        delta, origin, position, destination = best
-        item = groups[origin].pop(position)
-        groups[destination].append(item)
-        agg_f[origin] -= item.frequency
-        agg_z[origin] -= item.size
-        agg_f[destination] += item.frequency
-        agg_z[destination] += item.size
-        current_cost -= delta
-        moves.append(
-            CDSMove(
-                item_id=item.item_id,
-                origin=origin,
-                destination=destination,
-                delta=delta,
-                cost_after=current_cost,
-            )
-        )
-
-    if hb is not None:
-        hb.flush(
-            moves=len(moves), cost=current_cost, delta_evaluations=evaluations
-        )
-    refined = allocation.replace_channels(groups, validate=False)
-    # Recompute from scratch to shed accumulated floating-point drift.
-    final_cost = allocation_cost(refined)
-    return CDSResult(
-        allocation=refined,
-        cost=final_cost,
-        initial_cost=initial_cost,
-        moves=moves,
-        converged=converged,
-        delta_evaluations=evaluations,
-    )
-
-
-def _best_move(
-    groups: List[List[DataItem]],
-    agg_f: List[float],
-    agg_z: List[float],
-    num_channels: int,
-) -> Optional[Tuple[float, int, int, int]]:
-    """Find the single move with the maximum cost reduction.
-
-    Returns ``(delta, origin, position_in_origin, destination)`` or
-    ``None`` when no move improves the cost beyond the epsilon.  Ties are
-    broken by scan order (lowest origin, then item position, then lowest
-    destination), matching the paper's "first maximum wins" loop.
-    """
-    best_delta = _IMPROVEMENT_EPSILON
-    best: Optional[Tuple[float, int, int, int]] = None
-    for origin in range(num_channels):
-        origin_f = agg_f[origin]
-        origin_z = agg_z[origin]
-        for position, item in enumerate(groups[origin]):
-            for destination in range(num_channels):
-                if destination == origin:
-                    continue
-                delta = move_delta(
-                    item,
-                    origin_frequency=origin_f,
-                    origin_size=origin_z,
-                    dest_frequency=agg_f[destination],
-                    dest_size=agg_z[destination],
-                )
-                if delta > best_delta:
-                    best_delta = delta
-                    best = (delta, origin, position, destination)
-    return best
-
-
-def _cds_refine_numpy(
-    allocation: ChannelAllocation,
-    *,
-    max_iterations: Optional[int] = None,
-) -> CDSResult:
-    """The numpy backend of :func:`cds_refine`.
+    """The full-rescan loop of :func:`cds_refine`.
 
     Structure-of-arrays bookkeeping, end to end: the database's feature
     arrays are read in place (catalogue order), the working state is a
     channel index per item plus per-channel ``(F_i, Z_i)`` aggregate
-    arrays, and the per-channel index lists mirror the scalar backend's
-    mutable group lists (pop at position / append at end), so the scan
+    arrays, and the per-channel index lists mirror the scalar
+    reference's mutable group lists (pop at position / append at end), so the scan
     order — and therefore the tie-break — stays identical move for
     move.  No :class:`DataItem` is ever materialised: the Δc scan, the
     aggregate updates and the final rebuild all run on catalogue
     indices (the only per-move object is the executed move's id
     string).
     """
-    np = kernels.np
     database = allocation.database
     freq = database.frequencies
     size = database.sizes
@@ -476,7 +361,7 @@ def _cds_refine_incremental(
 ) -> CDSResult:
     """The dirty-pair incremental scan of :func:`cds_refine`.
 
-    Identical working state to :func:`_cds_refine_numpy` — catalogue
+    Identical working state to :func:`_cds_refine_full` — catalogue
     feature arrays, per-channel index lists mutated pop-at-position /
     append-at-end, incrementally maintained ``(F_i, Z_i)`` aggregate
     arrays — but the per-iteration best-move search reads the
@@ -493,7 +378,6 @@ def _cds_refine_incremental(
     identical inputs, and (c) cached cells hold exactly the floats a
     fresh scan would recompute.  See docs/verification.md.
     """
-    np = kernels.np
     database = allocation.database
     freq = database.frequencies
     size = database.sizes

@@ -1,24 +1,21 @@
 """Vectorized hot-path kernels backing the core algorithms.
 
-The pure-Python implementations of the cost-model hot paths — CDS's
-per-(item, destination) Δc scan, Procedure ``Partition``'s split scan
-and the contiguous DP's candidate minimisation — are exact but slow at
-production catalogue sizes (N in the tens of thousands).  This module
-provides numpy equivalents that compute the *same IEEE-754 floats* as
-the scalar code: every kernel applies the identical sequence of
-elementwise operations the scalar loop performs, so the two backends
-agree bit-for-bit and share one set of golden tests.
+CDS's per-(item, destination) Δc scan and Procedure ``Partition``'s
+split scan run here as numpy array expressions.  Every kernel applies
+the identical sequence of elementwise operations a scalar loop over the
+same data would, so the floats are IEEE-754-identical to the scalar
+reference implementations kept in :mod:`repro.verify.reference`.
 
-Backend selection
------------------
-Every public algorithm entry point (``cds_refine``, ``drp_allocate``,
-``best_split_in``, ``contiguous_optimal``) accepts a
-``backend="auto" | "python" | "numpy"`` keyword:
-
-* ``"python"`` — the scalar reference implementation;
-* ``"numpy"`` — the vectorized kernels in this module (raises
-  :class:`~repro.exceptions.ReproError` when numpy is unavailable);
-* ``"auto"`` — numpy when importable, scalar otherwise (the default).
+Production path
+---------------
+numpy is a required dependency and these kernels are the only
+production implementation: ``cds_refine``, ``drp_allocate`` and
+``best_split_in`` take no implementation selector.  The scalar loops
+survive only as verification references; the ``oracle.cds-backends``
+and ``oracle.drp-backends`` checks in :mod:`repro.verify.oracles` hold
+these kernels to them bit for bit.  The one remaining choice is CDS's
+``scan=`` mode (full rescan or the dirty-pair index), which
+``scan="auto"`` makes from the input size.
 
 Tie-break contract
 ------------------
@@ -34,43 +31,20 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import ReproError
 
-try:  # numpy ships with the workload generators; degrade gracefully.
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
-
-try:  # numba is optional everywhere; the JIT path is a pure accelerant.
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:
-    numba = None  # type: ignore[assignment]
-    HAS_NUMBA = False
-
 __all__ = [
-    "HAS_NUMPY",
-    "HAS_NUMBA",
-    "BACKENDS",
     "SCAN_MODES",
     "CDS_INCREMENTAL_SCAN_CROSSOVER",
-    "resolve_backend",
     "resolve_scan",
-    "cds_state_arrays",
     "cds_best_move",
     "cds_best_move_numpy",
     "cds_best_move_chunked",
     "CDSPairIndex",
     "best_split_range_numpy",
-    "dp_window_argmin_numpy",
 ]
-
-#: Recognised backend names.
-BACKENDS = ("auto", "python", "numpy")
 
 #: Recognised CDS Δc scan modes.
 SCAN_MODES = ("auto", "full", "incremental")
@@ -88,39 +62,11 @@ CDS_INCREMENTAL_SCAN_CROSSOVER = 1 << 20
 CDS_SCAN_MAX_WORKERS = 8
 
 
-def resolve_backend(backend: str) -> str:
-    """Map a ``backend`` keyword to a concrete implementation name.
-
-    Returns ``"python"`` or ``"numpy"``.
-
-    Raises
-    ------
-    ReproError
-        If ``backend`` is unknown, or ``"numpy"`` was requested but
-        numpy is not importable.
-    """
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise ReproError("backend='numpy' requested but numpy is not installed")
-    return backend
-
-
-def resolve_scan(
-    scan: str, backend: str, num_items: int, num_channels: int
-) -> str:
+def resolve_scan(scan: str, num_items: int, num_channels: int) -> str:
     """Map a CDS ``scan`` keyword to a concrete scan mode.
 
-    Returns ``"full"`` or ``"incremental"``.  ``backend`` is the already
-    *resolved* backend name: the incremental scan is array-resident and
-    exists only on the numpy backend, so ``"auto"`` resolves to
-    ``"full"`` for the scalar backend and ``"incremental"`` is an error
-    there.  With numpy, ``"auto"`` picks the incremental scan once a
-    single full best-move scan costs at least
+    Returns ``"full"`` or ``"incremental"``.  ``"auto"`` picks the
+    incremental scan once a single full best-move scan costs at least
     :data:`CDS_INCREMENTAL_SCAN_CROSSOVER` pair evaluations — both
     modes execute the bitwise-identical move sequence, so the choice is
     purely a cost trade.
@@ -128,22 +74,15 @@ def resolve_scan(
     Raises
     ------
     ReproError
-        If ``scan`` is unknown, or ``"incremental"`` was requested on
-        the scalar backend.
+        If ``scan`` is unknown.
     """
     if scan not in SCAN_MODES:
         raise ReproError(
             f"unknown scan mode {scan!r}; choose from {SCAN_MODES}"
         )
-    if scan == "incremental" and backend != "numpy":
-        raise ReproError(
-            "scan='incremental' requires the numpy backend "
-            f"(resolved backend is {backend!r})"
-        )
     if scan == "auto":
         if (
-            backend == "numpy"
-            and num_channels >= 3
+            num_channels >= 3
             and num_items * (num_channels - 1)
             >= CDS_INCREMENTAL_SCAN_CROSSOVER
         ):
@@ -155,42 +94,6 @@ def resolve_scan(
 # ----------------------------------------------------------------------
 # CDS — broadcasted Δc matrix
 # ----------------------------------------------------------------------
-def cds_state_arrays(channels, channel_stats):
-    """Build the flat-array working state for the numpy CDS loop.
-
-    Parameters
-    ----------
-    channels:
-        Per-channel item sequences (the allocation's groups).
-    channel_stats:
-        Matching per-channel aggregates (``F_i``, ``Z_i``).
-
-    Returns
-    -------
-    (items, freq, size, group_of, groups, agg_f, agg_z):
-        ``items`` is the flat item table (origin-major order), ``freq``
-        and ``size`` its per-item features, ``group_of[i]`` the current
-        channel of item ``i``, ``groups`` per-channel lists of item
-        indices (mirroring the scalar backend's mutable lists, so the
-        scan order stays identical move for move), and ``agg_f`` /
-        ``agg_z`` the per-channel aggregate arrays.
-    """
-    items = [item for group in channels for item in group]
-    freq = np.array([item.frequency for item in items], dtype=np.float64)
-    size = np.array([item.size for item in items], dtype=np.float64)
-    group_of = np.empty(len(items), dtype=np.intp)
-    groups = []
-    offset = 0
-    for channel, group in enumerate(channels):
-        indices = list(range(offset, offset + len(group)))
-        group_of[indices] = channel
-        groups.append(indices)
-        offset += len(group)
-    agg_f = np.array([stat.frequency for stat in channel_stats], dtype=np.float64)
-    agg_z = np.array([stat.size for stat in channel_stats], dtype=np.float64)
-    return items, freq, size, group_of, groups, agg_f, agg_z
-
-
 def cds_best_move_numpy(
     freq,
     size,
@@ -200,12 +103,12 @@ def cds_best_move_numpy(
     agg_z,
     epsilon: float,
 ) -> Optional[Tuple[float, int, int]]:
-    """Vectorized equivalent of ``cds._best_move`` — one N×K Δc matrix.
+    """Vectorized Δc scan — one N×K matrix per best-move search.
 
     Evaluates Eq. (4), ``Δc = f⊗(Z_p − Z_q) + z⊗(F_p − F_q) − 2fz``,
     for every (item, destination) pair at once.  ``order`` is the flat
     item-index array in scan order (origin-major, position-minor), so
-    the row-major argmax reproduces the scalar backend's tie-break
+    the row-major argmax reproduces the scalar reference's tie-break
     exactly (first strict maximum in origin → position → destination
     order wins).
 
@@ -289,49 +192,6 @@ def cds_best_move_chunked(
     return best, best_rank, best_destination
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _cds_best_move_jit(freq, size, order, group_of, agg_f, agg_z):
-        """First strict maximum of Eq. (4) over (rank, destination).
-
-        Rank-major, destination-minor scan order — the same row-major
-        order ``np.argmax`` flattens, so the tie-break matches.  The
-        delta expression keeps the numpy kernel's exact association
-        ``(f·(Z_p−Z_q) + z·(F_p−F_q)) − (2·f)·z`` and numba's default
-        strict-IEEE mode (no fastmath, no FMA contraction) reproduces
-        its floats bit-for-bit.
-        """
-        best = -np.inf
-        best_rank = -1
-        best_destination = -1
-        num_channels = agg_f.shape[0]
-        for rank in range(order.shape[0]):
-            index = order[rank]
-            f = freq[index]
-            z = size[index]
-            origin = group_of[index]
-            origin_f = agg_f[origin]
-            origin_z = agg_z[origin]
-            two_fz = 2.0 * f * z
-            for destination in range(num_channels):
-                if destination == origin:
-                    continue
-                delta = (
-                    f * (origin_z - agg_z[destination])
-                    + z * (origin_f - agg_f[destination])
-                    - two_fz
-                )
-                if delta > best:
-                    best = delta
-                    best_rank = rank
-                    best_destination = destination
-        return best, best_rank, best_destination
-
-else:
-    _cds_best_move_jit = None
-
-
 def cds_best_move(
     freq,
     size,
@@ -343,19 +203,11 @@ def cds_best_move(
 ) -> Optional[Tuple[float, int, int]]:
     """Best single CDS move — dispatching Δc scan.
 
-    Routes to the numba JIT kernel when numba is importable, to the
-    blocked scan when the full ``N×K`` matrix would exceed the chunk
-    budget, and to the one-shot broadcast matrix otherwise.  All three
-    produce identical floats and the identical first-maximum winner, so
-    the choice is purely a speed/memory trade.
+    Routes to the blocked scan when the full ``N×K`` matrix would
+    exceed the chunk budget, and to the one-shot broadcast matrix
+    otherwise.  Both produce identical floats and the identical
+    first-maximum winner, so the choice is purely a memory trade.
     """
-    if HAS_NUMBA:
-        best, rank, destination = _cds_best_move_jit(
-            freq, size, order, group_of, agg_f, agg_z
-        )
-        if rank < 0 or not best > epsilon:
-            return None
-        return float(best), int(rank), int(destination)
     if len(order) * agg_f.shape[0] > CDS_DELTA_CHUNK_ELEMENTS:
         return cds_best_move_chunked(
             freq, size, order, group_of, agg_f, agg_z, epsilon
@@ -432,7 +284,7 @@ class CDSPairIndex:
         self.best_delta = np.full((k, k), -np.inf, dtype=np.float64)
         self.best_pos = np.full((k, k), -1, dtype=np.intp)
         #: Measured Δc pair evaluations (the masked own-channel column
-        #: is never counted, matching the scalar backend's loop).
+        #: is never counted, matching the scalar reference's loop).
         self.evaluations = 0
         self.rebuild()
 
@@ -552,7 +404,7 @@ class CDSPairIndex:
         """Global argmax over the index, full-scan tie-break preserved.
 
         Returns ``(delta, origin, position_in_origin, destination)`` —
-        the same tuple shape as the scalar ``_best_move`` — or ``None``
+        the same tuple shape as the scalar reference scan — or ``None``
         when no cell beats ``epsilon``.  The first row achieving the
         maximum wins (lowest origin); within it the cell with the
         lowest cached position wins, and among equal positions (the
@@ -587,18 +439,3 @@ def best_split_range_numpy(pf, pz, start: int, stop: int) -> Tuple[int, float]:
     total = left + right
     index = int(np.argmin(total))
     return index + 1, float(total[index])
-
-
-# ----------------------------------------------------------------------
-# Contiguous DP — candidate-window argmin for the monotone D&C layer
-# ----------------------------------------------------------------------
-def dp_window_argmin_numpy(dp_prev, pf, pz, i: int, lo: int, hi: int):
-    """Minimise ``dp_prev[j] + cost(j, i)`` over ``j in [lo, hi)``.
-
-    Returns ``(j, value)`` with the first minimum winning — identical
-    floats and tie-break to the quadratic oracle's inner loop.
-    """
-    j = np.arange(lo, hi)
-    values = dp_prev[lo:hi] + (pf[i] - pf[j]) * (pz[i] - pz[j])
-    k = int(np.argmin(values))
-    return lo + k, float(values[k])

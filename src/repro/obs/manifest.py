@@ -1,8 +1,8 @@
 """Per-run manifests: the provenance record next to experiment outputs.
 
 A manifest answers "what exactly produced this file?" — seeds, a stable
-hash of the experiment configuration, the git revision, backend
-resolution (scalar vs numpy), CPU count and the ``REPRO_*`` environment
+hash of the experiment configuration, the git revision, the numpy
+version, CPU count and the ``REPRO_*`` environment
 — so a trace, metrics snapshot, CSV or report can be tied back to the
 code and parameters that generated it.  Everything is computed with the
 standard library; the git revision degrades to ``None`` outside a git
@@ -21,6 +21,8 @@ import time
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+import numpy
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -98,14 +100,6 @@ def _git_revision_uncached(
     return completed.stdout.strip() or None
 
 
-def _numpy_version() -> Optional[str]:
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy baked into the image
-        return None
-    return numpy.__version__
-
-
 def build_manifest(
     *,
     command: Optional[str] = None,
@@ -132,8 +126,6 @@ def build_manifest(
     extra:
         Free-form additions (e.g. worker count, figure id).
     """
-    from repro.core import kernels
-
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -143,11 +135,7 @@ def build_manifest(
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_rev": git_revision(Path(__file__).resolve().parents[3]),
-        "numpy": _numpy_version(),
-        "backends": {
-            "kernels_auto": kernels.resolve_backend("auto"),
-            "has_numpy": kernels.HAS_NUMPY,
-        },
+        "numpy": numpy.__version__,
         "env": {
             key: value
             for key, value in sorted(os.environ.items())

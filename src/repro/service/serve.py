@@ -62,7 +62,11 @@ from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
 from repro.workloads.estimator import profile_l1_error
 from repro.workloads.sketch import CountMinSketch
-from repro.workloads.trace import TraceRecord, iter_trace_jsonl
+from repro.workloads.trace import (
+    TraceRecord,
+    iter_trace_jsonl,
+    parse_trace_lines,
+)
 
 __all__ = [
     "HandoverRecord",
@@ -716,40 +720,9 @@ class SocketSource:
         self.close()
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        import json as _json
-
         conn, _ = self._listener.accept()
-        last: Optional[float] = None
         try:
             with conn, conn.makefile("r", encoding="utf-8") as stream:
-                for line_no, line in enumerate(stream, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = _json.loads(line)
-                    except _json.JSONDecodeError as exc:
-                        raise SimulationError(
-                            f"socket line {line_no}: invalid JSON: {exc}"
-                        ) from exc
-                    if (
-                        not isinstance(row, dict)
-                        or "t" not in row
-                        or "id" not in row
-                    ):
-                        raise SimulationError(
-                            f"socket line {line_no}: expected object with "
-                            f"'t' and 'id' keys, got {row!r}"
-                        )
-                    record = TraceRecord(
-                        timestamp=float(row["t"]), item_id=str(row["id"])
-                    )
-                    if last is not None and record.timestamp < last:
-                        raise SimulationError(
-                            f"socket line {line_no}: out-of-order record at "
-                            f"t={record.timestamp} (last was t={last})"
-                        )
-                    last = record.timestamp
-                    yield record
+                yield from parse_trace_lines(stream, "socket")
         finally:
             self.close()

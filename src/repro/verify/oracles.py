@@ -1,8 +1,9 @@
 """Differential oracles: run implementation pairs, diff the answers.
 
 The repo deliberately keeps redundant implementations of each layer —
-scalar vs numpy kernels, serial vs process-pool sweeps, event-driven vs
-batched simulation, cold vs warm-started refinement.  Each pair is
+the production numpy kernels vs the scalar references in
+:mod:`repro.verify.reference`, serial vs process-pool sweeps,
+event-driven vs batched simulation, cold vs warm-started refinement.  Each pair is
 documented as producing identical results (bitwise, except where a
 tolerance is declared below), which turns every pair into a free test
 oracle: run both halves on the same seeded input and diff.
@@ -13,11 +14,14 @@ pytest suite consume all checkers uniformly.
 
 The four oracle pairs (named ``oracle.<slug>``):
 
-``drp-backends`` / ``cds-backends`` / ``dp-methods``
-    python vs numpy kernels, and the O(K·N²) quadratic DP vs the
-    divide-and-conquer DP — all bitwise.
+``drp-backends``
+    Every split DRP took (read off its ``trace=True`` snapshots) vs the
+    scalar reference split scan on the same range — bitwise.
+``cds-backends`` / ``dp-methods``
+    Production CDS vs the scalar reference loop, and the SMAWK DP vs
+    the O(K·N²) quadratic reference DP — all bitwise.
 ``cds-scan-modes``
-    Triple parity of the CDS Δc scans: scalar full scan vs vectorized
+    Triple parity of the CDS Δc scans: scalar reference vs vectorized
     full scan vs the dirty-pair incremental index — identical move
     sequences (every float), costs and groupings, cold and seeded.
 ``simulators``
@@ -54,6 +58,11 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.simulation.simulator import run_broadcast_simulation
 from repro.verify.invariants import REL_TOL, Violation, close
+from repro.verify.reference import (
+    best_split_reference,
+    cds_refine_reference,
+    contiguous_quadratic,
+)
 
 __all__ = [
     "oracle_drp_backends",
@@ -73,8 +82,15 @@ def _violation(check: str, message: str, **context: object) -> Violation:
 
 
 # ---------------------------------------------------------------------------
-# Kernel backends
+# Production kernels vs the scalar references
 # ---------------------------------------------------------------------------
+
+def _move_key(result) -> list:
+    return [
+        (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
+        for m in result.moves
+    ]
+
 
 def oracle_drp_backends(
     database: BroadcastDatabase,
@@ -82,42 +98,76 @@ def oracle_drp_backends(
     *,
     split_policy: str = "max-cost",
 ) -> List[Violation]:
-    """DRP must be bitwise identical on the python and numpy backends."""
+    """Every split DRP takes matches the scalar reference split scan.
+
+    DRP runs with ``trace=True``; each pair of consecutive snapshots
+    names the range it split (``split_group`` of the earlier one) and
+    the two halves it produced.  The reference scan over the same range
+    of scalar prefix sums must pick the identical cut, and the halves'
+    cost must be its minimised cost — bitwise.  The final groups must be
+    the allocation's channels and their reference cost DRP's cost.
+    """
     name = "oracle.drp-backends"
     violations: List[Violation] = []
     if num_channels > len(database.items):
         return violations
-    python = drp_allocate(
-        database, num_channels, split_policy=split_policy, backend="python"
+    result = drp_allocate(
+        database, num_channels, split_policy=split_policy, trace=True
     )
-    vectorized = drp_allocate(
-        database, num_channels, split_policy=split_policy, backend="numpy"
-    )
-    if python.allocation.as_id_lists() != vectorized.allocation.as_id_lists():
+    ordered = database.sorted_by_benefit_ratio()
+    sums = PrefixSums(ordered)
+    snapshots = result.snapshots
+    if snapshots[0].groups != (tuple(item.item_id for item in ordered),):
+        violations.append(
+            _violation(name, "DRP did not start from the benefit-ratio order")
+        )
+        return violations
+    for before, after in zip(snapshots, snapshots[1:]):
+        index = before.split_group
+        start = sum(len(group) for group in before.groups[:index])
+        stop = start + len(before.groups[index])
+        offset = len(after.groups[index])
+        cost = after.costs[index] + after.costs[index + 1]
+        ref_offset, ref_cost = best_split_reference(sums, start, stop)
+        if (offset, cost) != (ref_offset, ref_cost):
+            violations.append(
+                _violation(
+                    name,
+                    f"DRP split of [{start}, {stop}) at offset {offset} "
+                    f"(cost {cost!r}) != reference offset {ref_offset} "
+                    f"(cost {ref_cost!r}) (policy={split_policy!r})",
+                    policy=split_policy,
+                    iteration=after.iteration,
+                    offset=offset,
+                    reference=ref_offset,
+                )
+            )
+    final = [list(group) for group in snapshots[-1].groups]
+    if result.allocation.as_id_lists() != final:
+        violations.append(
+            _violation(name, "DRP allocation differs from its final snapshot")
+        )
+    bounds = []
+    start = 0
+    for group in final:
+        bounds.append((start, start + len(group)))
+        start += len(group)
+    reference_cost = sum(sums.cost(a, b) for a, b in bounds)
+    if result.cost != reference_cost:
         violations.append(
             _violation(
                 name,
-                f"DRP groupings diverge between backends "
-                f"(policy={split_policy!r})",
-                policy=split_policy,
+                f"DRP cost {result.cost!r} != reference {reference_cost!r}",
+                production=result.cost,
+                reference=reference_cost,
             )
         )
-    if python.cost != vectorized.cost:
+    if result.iterations != len(snapshots) - 1:
         violations.append(
             _violation(
                 name,
-                f"DRP cost python {python.cost!r} != numpy "
-                f"{vectorized.cost!r}",
-                python=python.cost,
-                numpy=vectorized.cost,
-            )
-        )
-    if python.iterations != vectorized.iterations:
-        violations.append(
-            _violation(
-                name,
-                f"DRP iterations python {python.iterations} != numpy "
-                f"{vectorized.iterations}",
+                f"DRP reports {result.iterations} iterations but traced "
+                f"{len(snapshots) - 1} splits",
             )
         )
     return violations
@@ -126,48 +176,45 @@ def oracle_drp_backends(
 def oracle_cds_backends(
     database: BroadcastDatabase, num_channels: int
 ) -> List[Violation]:
-    """CDS must take the identical move sequence on both backends."""
+    """CDS takes the reference loop's move sequence, bit for bit."""
     name = "oracle.cds-backends"
     violations: List[Violation] = []
     if num_channels > len(database.items):
         return violations
-    seed = drp_allocate(database, num_channels, backend="python").allocation
-    python = cds_refine(seed, backend="python")
-    vectorized = cds_refine(seed, backend="numpy")
-    python_moves = [
-        (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
-        for m in python.moves
-    ]
-    numpy_moves = [
-        (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
-        for m in vectorized.moves
-    ]
-    if python_moves != numpy_moves:
+    seed = drp_allocate(database, num_channels).allocation
+    reference = cds_refine_reference(seed)
+    production = cds_refine(seed)
+    reference_moves = _move_key(reference)
+    production_moves = _move_key(production)
+    if reference_moves != production_moves:
         violations.append(
             _violation(
                 name,
-                f"CDS move sequences diverge: python made "
-                f"{len(python_moves)} move(s), numpy {len(numpy_moves)}",
-                python_moves=len(python_moves),
-                numpy_moves=len(numpy_moves),
+                f"CDS move sequences diverge: reference made "
+                f"{len(reference_moves)} move(s), production "
+                f"{len(production_moves)}",
+                reference_moves=len(reference_moves),
+                production_moves=len(production_moves),
             )
         )
-    if python.cost != vectorized.cost:
+    if reference.cost != production.cost:
         violations.append(
             _violation(
                 name,
-                f"CDS cost python {python.cost!r} != numpy "
-                f"{vectorized.cost!r}",
-                python=python.cost,
-                numpy=vectorized.cost,
+                f"CDS cost reference {reference.cost!r} != production "
+                f"{production.cost!r}",
+                reference=reference.cost,
+                production=production.cost,
             )
         )
     if (
-        python.allocation.as_id_lists()
-        != vectorized.allocation.as_id_lists()
+        reference.allocation.as_id_lists()
+        != production.allocation.as_id_lists()
     ):
         violations.append(
-            _violation(name, "CDS final groupings diverge between backends")
+            _violation(
+                name, "CDS final groupings diverge from the reference"
+            )
         )
     return violations
 
@@ -177,7 +224,7 @@ def oracle_cds_scan_modes(
 ) -> List[Violation]:
     """Triple parity across CDS scan implementations — all bitwise.
 
-    The scalar full scan, the vectorized full scan and the dirty-pair
+    The scalar reference, the vectorized full scan and the dirty-pair
     incremental scan must execute the identical move sequence (item,
     origin, destination, delta, cost after — every float), land on the
     identical cost and grouping, and the incremental scan must never
@@ -189,27 +236,18 @@ def oracle_cds_scan_modes(
     violations: List[Violation] = []
     if num_channels > len(database.items):
         return violations
-    seed = drp_allocate(database, num_channels, backend="python").allocation
+    seed = drp_allocate(database, num_channels).allocation
     runs = {
-        "python-full": cds_refine(seed, backend="python", scan="full"),
-        "numpy-full": cds_refine(seed, backend="numpy", scan="full"),
-        "numpy-incremental": cds_refine(
-            seed, backend="numpy", scan="incremental"
-        ),
+        "reference": cds_refine_reference(seed),
+        "full": cds_refine(seed, scan="full"),
+        "incremental": cds_refine(seed, scan="incremental"),
     }
-
-    def move_key(result):
-        return [
-            (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
-            for m in result.moves
-        ]
-
-    reference_label = "python-full"
+    reference_label = "reference"
     reference = runs[reference_label]
     for label, result in runs.items():
         if label == reference_label:
             continue
-        if move_key(result) != move_key(reference):
+        if _move_key(result) != _move_key(reference):
             violations.append(
                 _violation(
                     name,
@@ -242,8 +280,8 @@ def oracle_cds_scan_modes(
                     mode=label,
                 )
             )
-    full = runs["numpy-full"]
-    incremental = runs["numpy-incremental"]
+    full = runs["full"]
+    incremental = runs["incremental"]
     if incremental.delta_evaluations > full.delta_evaluations:
         violations.append(
             _violation(
@@ -253,13 +291,11 @@ def oracle_cds_scan_modes(
                 f"({full.delta_evaluations})",
             )
         )
-    warm_full = cds_refine(
-        seed, initial=full.allocation, backend="numpy", scan="full"
-    )
+    warm_full = cds_refine(seed, initial=full.allocation, scan="full")
     warm_incremental = cds_refine(
-        seed, initial=full.allocation, backend="numpy", scan="incremental"
+        seed, initial=full.allocation, scan="incremental"
     )
-    if move_key(warm_full) != move_key(warm_incremental) or (
+    if _move_key(warm_full) != _move_key(warm_incremental) or (
         warm_full.cost != warm_incremental.cost
     ):
         violations.append(
@@ -275,46 +311,38 @@ def oracle_cds_scan_modes(
 def oracle_dp_methods(
     database: BroadcastDatabase, num_channels: int
 ) -> List[Violation]:
-    """Quadratic, divide-and-conquer and SMAWK DPs agree exactly.
+    """The SMAWK DP and the quadratic reference DP agree exactly.
 
-    The ``smawk-vs-dnc-vs-quadratic`` triple parity: all three must
-    return the same optimal cost (bitwise — the recurrences evaluate
-    the same ``F·Z`` products and every restricted search provably
-    contains the optimum), and each method's boundaries must themselves
-    realise the cost they claim.  Boundary *positions* are compared by
-    realised cost, not index: among exact ties SMAWK may pick a
-    different (equally optimal) predecessor than the leftmost-``j``
-    oracle.
+    The ``smawk-vs-quadratic`` pair parity: both must return the same
+    optimal cost (bitwise — the recurrences evaluate the same ``F·Z``
+    products and SMAWK's restricted search provably contains the
+    optimum), and each side's boundaries must themselves realise the
+    cost they claim.  Boundary *positions* are compared by realised
+    cost, not index: among exact ties SMAWK may pick a different
+    (equally optimal) predecessor than the leftmost-``j`` reference.
     """
     name = "oracle.dp-methods"
     violations: List[Violation] = []
     items = database.sorted_by_benefit_ratio()
     if num_channels > len(items):
         return violations
-    quad_bounds, quad_cost = contiguous_optimal(
-        items, num_channels, method="quadratic"
-    )
-    dnc_bounds, dnc_cost = contiguous_optimal(
-        items, num_channels, method="divide-conquer"
-    )
+    sums = PrefixSums(items)
+    quad_bounds, quad_cost = contiguous_quadratic(sums, num_channels)
     smawk_bounds, smawk_cost = contiguous_optimal(
-        items, num_channels, method="smawk"
+        None, num_channels, sums=sums
     )
-    if not quad_cost == dnc_cost == smawk_cost:
+    if quad_cost != smawk_cost:
         violations.append(
             _violation(
                 name,
                 f"DP cost diverges: quadratic {quad_cost!r}, "
-                f"divide-conquer {dnc_cost!r}, smawk {smawk_cost!r}",
+                f"smawk {smawk_cost!r}",
                 quadratic=quad_cost,
-                divide_conquer=dnc_cost,
                 smawk=smawk_cost,
             )
         )
-    sums = PrefixSums(items)
     for method, bounds, cost in (
         ("quadratic", quad_bounds, quad_cost),
-        ("divide-conquer", dnc_bounds, dnc_cost),
         ("smawk", smawk_bounds, smawk_cost),
     ):
         realised = sum(sums.cost(a, b) for a, b in bounds)
@@ -699,7 +727,6 @@ def oracle_warm_cold(
     *,
     rng=None,
     drift: float = 0.15,
-    backend: str = "auto",
 ) -> List[Violation]:
     """Warm starts respect the cold-start regression guard.
 
@@ -714,13 +741,8 @@ def oracle_warm_cold(
     if num_channels > len(database.items):
         return violations
 
-    cold = cds_refine(
-        drp_allocate(database, num_channels, backend=backend).allocation,
-        backend=backend,
-    )
-    unchanged = warm_start_refine(
-        database, num_channels, cold.allocation, backend=backend
-    )
+    cold = cds_refine(drp_allocate(database, num_channels).allocation)
+    unchanged = warm_start_refine(database, num_channels, cold.allocation)
     if not close(unchanged.cost, cold.cost):
         violations.append(
             _violation(
@@ -753,10 +775,8 @@ def oracle_warm_cold(
         drifted_items, require_normalized=False
     ).normalized()
 
-    warm = warm_start_refine(
-        drifted, num_channels, cold.allocation, backend=backend
-    )
-    rough = drp_allocate(drifted, num_channels, backend=backend)
+    warm = warm_start_refine(drifted, num_channels, cold.allocation)
+    rough = drp_allocate(drifted, num_channels)
     bound = DEFAULT_REGRESSION_GUARD * rough.cost
     if warm.cost > bound + REL_TOL * max(1.0, bound):
         violations.append(

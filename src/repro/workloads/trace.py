@@ -32,6 +32,7 @@ __all__ = [
     "save_trace_jsonl",
     "load_trace_jsonl",
     "iter_trace_jsonl",
+    "parse_trace_lines",
 ]
 
 
@@ -203,33 +204,53 @@ def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceRecord]:
     are rejected (the file claims to be a server-observed log).
     """
     source = Path(path)
-    last: Optional[float] = None
     with source.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SimulationError(
-                    f"{source}:{line_no}: invalid JSON: {exc}"
-                ) from exc
-            if not isinstance(row, dict) or "t" not in row or "id" not in row:
-                raise SimulationError(
-                    f"{source}:{line_no}: expected object with 't' and 'id' "
-                    f"keys, got {row!r}"
-                )
+        yield from parse_trace_lines(handle, str(source))
+
+
+def parse_trace_lines(
+    lines: Iterable[str], source: str
+) -> Iterator[TraceRecord]:
+    """Parse newline-delimited ``{"t": ..., "id": ...}`` JSON rows.
+
+    The one line reader behind the JSONL replay and the live socket
+    source.  Blank lines are skipped.  A malformed row — invalid JSON, a
+    missing key, a ``t`` that is not a finite non-negative number, an
+    empty id, or a timestamp before the previous row's — raises
+    :class:`SimulationError` prefixed with ``source`` and the 1-based
+    line number.
+    """
+    last: Optional[float] = None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SimulationError(
+                f"{source}:{line_no}: invalid JSON: {exc}"
+            ) from exc
+        if not isinstance(row, dict) or "t" not in row or "id" not in row:
+            raise SimulationError(
+                f"{source}:{line_no}: expected object with 't' and 'id' "
+                f"keys, got {row!r}"
+            )
+        try:
             record = TraceRecord(
                 timestamp=float(row["t"]), item_id=str(row["id"])
             )
-            if last is not None and record.timestamp < last:
-                raise SimulationError(
-                    f"{source}:{line_no}: out-of-order record at "
-                    f"t={record.timestamp} (last was t={last})"
-                )
-            last = record.timestamp
-            yield record
+        except (TypeError, ValueError, SimulationError) as exc:
+            raise SimulationError(
+                f"{source}:{line_no}: bad record {row!r}: {exc}"
+            ) from exc
+        if last is not None and record.timestamp < last:
+            raise SimulationError(
+                f"{source}:{line_no}: out-of-order record at "
+                f"t={record.timestamp} (last was t={last})"
+            )
+        last = record.timestamp
+        yield record
 
 
 def load_trace_jsonl(path: Union[str, Path]) -> RequestTrace:

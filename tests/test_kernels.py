@@ -1,11 +1,11 @@
-"""Backend-parity and kernel tests (repro.core.kernels).
+"""Reference-parity and kernel tests (repro.core.kernels).
 
-The vectorized kernels must be *indistinguishable* from the scalar
-reference implementations: same split indices, same move sequences,
-same tie-breaks, same costs.  These tests pin that contract over
-seeded-random workloads, adversarial tie-heavy inputs and the paper's
-worked example, and check the divide-and-conquer DP against the
-quadratic oracle exactly.
+The production numpy kernels must be *indistinguishable* from the
+scalar reference implementations in :mod:`repro.verify.reference`:
+same split indices, same move sequences, same tie-breaks, same costs.
+These tests pin that contract over seeded-random workloads, adversarial
+tie-heavy inputs and the paper's worked example, and check the SMAWK DP
+against the quadratic reference DP exactly.
 """
 
 from __future__ import annotations
@@ -16,15 +16,20 @@ import repro.core.drp as drp_module
 from repro.core.cds import cds_refine
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
+from repro.core.incremental import IncrementalAllocator, warm_start_refine
 from repro.core.item import DataItem
-from repro.core.kernels import BACKENDS, HAS_NUMPY, resolve_backend
 from repro.core.partition import (
     PrefixSums,
     best_split,
     best_split_in,
     contiguous_optimal,
 )
-from repro.exceptions import ReproError
+from repro.verify.oracles import oracle_drp_backends
+from repro.verify.reference import (
+    best_split_reference,
+    cds_refine_reference,
+    contiguous_quadratic,
+)
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.paper_profile import (
     PAPER_CDS_COST,
@@ -34,11 +39,12 @@ from repro.workloads.paper_profile import (
     paper_database,
 )
 
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-
 #: The seeded grid the parity tests sweep (K is clamped to N).
 PARITY_SIZES = (2, 3, 17, 257)
 PARITY_CHANNELS = tuple(range(1, 9))
+
+#: DRP-only sizes around 512 items, inside the fuzzer's N = 506–518 band.
+DRP_EXTRA_SIZES = (511, 512, 513)
 
 
 def _database(n: int, seed: int) -> BroadcastDatabase:
@@ -58,20 +64,21 @@ def _bad_seed_allocation(database: BroadcastDatabase, k: int):
     return ChannelAllocation(database, groups)
 
 
-class TestResolveBackend:
-    def test_auto_prefers_numpy(self):
-        assert resolve_backend("auto") == "numpy"
+class TestNoImplementationSelector:
+    """The core entry points run one implementation and take no
+    ``backend=`` / ``method=`` keyword."""
 
-    def test_explicit_backends(self):
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown backend"):
-            resolve_backend("cuda")
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("auto", "python", "numpy")
+    def test_backend_keyword_rejected(self, tiny_db):
+        with pytest.raises(TypeError):
+            drp_allocate(tiny_db, 2, backend="python")
+        with pytest.raises(TypeError):
+            cds_refine(drp_allocate(tiny_db, 2).allocation, backend="numpy")
+        with pytest.raises(TypeError):
+            best_split(tiny_db.items, backend="python")
+        with pytest.raises(TypeError):
+            warm_start_refine(tiny_db, 2, None, backend="python")
+        with pytest.raises(TypeError):
+            IncrementalAllocator(2, backend="python")
 
 
 class TestSplitParity:
@@ -81,8 +88,8 @@ class TestSplitParity:
         if n < 2:
             pytest.skip("nothing to split")
         items = _database(n, seed).sorted_by_benefit_ratio()
-        scalar = best_split(items, backend="python")
-        vector = best_split(items, backend="numpy")
+        scalar = best_split_reference(PrefixSums(items), 0, n)
+        vector = best_split(items)
         assert scalar[0] == vector[0]
         assert scalar[1] == vector[1]  # bitwise-identical floats
 
@@ -91,43 +98,43 @@ class TestSplitParity:
         items = _database(57, seed).sorted_by_benefit_ratio()
         sums = PrefixSums(items)
         for start, stop in [(0, 57), (3, 41), (10, 12), (30, 57)]:
-            scalar = best_split_in(sums, start, stop, backend="python")
-            vector = best_split_in(sums, start, stop, backend="numpy")
+            scalar = best_split_reference(sums, start, stop)
+            vector = best_split_in(sums, start, stop)
             assert scalar == vector
 
     def test_tie_break_first_minimum_wins(self):
         # Three identical items with dyadic features: splits 1|2 and
-        # 2|1 tie exactly in floating point; both backends must return
-        # the smallest offset.
+        # 2|1 tie exactly in floating point; the kernel and the
+        # reference must both return the smallest offset.
         items = [DataItem(f"t{i}", 0.25, 2.0) for i in range(3)]
-        assert best_split(items, backend="python")[0] == 1
-        assert best_split(items, backend="numpy")[0] == 1
+        assert best_split_reference(PrefixSums(items), 0, 3)[0] == 1
+        assert best_split(items)[0] == 1
 
 
 class TestDRPParity:
-    @pytest.mark.parametrize("n", PARITY_SIZES)
+    @pytest.mark.parametrize("n", PARITY_SIZES + DRP_EXTRA_SIZES)
     @pytest.mark.parametrize("k", PARITY_CHANNELS)
     @pytest.mark.parametrize("policy", ("max-cost", "max-reduction"))
     def test_same_allocation_and_cost(self, n, k, policy):
+        """Every split DRP takes is the reference scan's split (offset
+        and cost bitwise), and the final cost is the reference cost."""
         if k > n:
             pytest.skip("K exceeds N")
         database = _database(n, seed=11)
-        scalar = drp_allocate(database, k, split_policy=policy, backend="python")
-        vector = drp_allocate(database, k, split_policy=policy, backend="numpy")
-        assert scalar.allocation.as_id_lists() == vector.allocation.as_id_lists()
-        assert scalar.cost == pytest.approx(vector.cost, abs=1e-9)
+        assert oracle_drp_backends(database, k, split_policy=policy) == []
 
     def test_traces_identical(self):
+        """The array-resident order and an explicit item order trace the
+        identical run."""
         database = _database(40, seed=3)
-        scalar = drp_allocate(
-            database, 6, split_policy="max-reduction", trace=True,
-            backend="python",
+        arrays = drp_allocate(
+            database, 6, split_policy="max-reduction", trace=True
         )
-        vector = drp_allocate(
+        items = drp_allocate(
             database, 6, split_policy="max-reduction", trace=True,
-            backend="numpy",
+            presorted_items=database.sorted_by_benefit_ratio(),
         )
-        assert scalar.snapshots == vector.snapshots
+        assert arrays.snapshots == items.snapshots
 
 
 class TestCDSParity:
@@ -138,10 +145,10 @@ class TestCDSParity:
             pytest.skip("K exceeds N")
         database = _database(n, seed=29)
         seed_allocation = _bad_seed_allocation(database, k)
-        scalar = cds_refine(seed_allocation, backend="python")
-        vector = cds_refine(seed_allocation, backend="numpy")
-        # CDSMove equality is exact float equality — the backends must
-        # produce bitwise-identical deltas, not merely close ones.
+        scalar = cds_refine_reference(seed_allocation)
+        vector = cds_refine(seed_allocation)
+        # CDSMove equality is exact float equality — production and the
+        # reference must produce bitwise-identical deltas.
         assert scalar.moves == vector.moves
         assert scalar.cost == pytest.approx(vector.cost, abs=1e-9)
         assert (
@@ -151,7 +158,7 @@ class TestCDSParity:
     def test_tie_break_first_maximum_wins(self):
         # Identical items make every improving move tie; the scan-order
         # contract (origin, then position, then destination) must pick
-        # the same first maximum on both backends.
+        # the same first maximum in production and the reference.
         items = [DataItem(f"t{i}", 1.0 / 9.0, 2.0) for i in range(9)]
         database = BroadcastDatabase(items)
         from repro.core.allocation import ChannelAllocation
@@ -159,20 +166,21 @@ class TestCDSParity:
         lopsided = ChannelAllocation(
             database, [items[:7], [items[7]], [items[8]]]
         )
-        scalar = cds_refine(lopsided, backend="python")
-        vector = cds_refine(lopsided, backend="numpy")
+        scalar = cds_refine_reference(lopsided)
+        vector = cds_refine(lopsided)
         assert scalar.moves == vector.moves
         assert scalar.cost == pytest.approx(vector.cost, abs=1e-9)
 
     def test_max_iterations_respected_on_numpy_backend(self, medium_db):
         seed_allocation = _bad_seed_allocation(medium_db, 5)
-        capped = cds_refine(seed_allocation, max_iterations=2, backend="numpy")
+        capped = cds_refine(seed_allocation, max_iterations=2)
         assert capped.iterations == 2
         assert not capped.converged
 
 
 class TestPaperGoldenOnBothBackends:
-    """Tables 2–4 of the paper must hold on either backend."""
+    """Tables 2–4 of the paper must hold with the production CDS
+    (``numpy``) and with the scalar reference loop (``python``)."""
 
     @pytest.mark.parametrize("backend", ("python", "numpy"))
     def test_pipeline_golden_values(self, backend):
@@ -186,24 +194,23 @@ class TestPaperGoldenOnBothBackends:
             database,
             PAPER_NUM_CHANNELS,
             split_policy="max-reduction",
-            backend=backend,
         )
         assert rough.cost == pytest.approx(PAPER_DRP_COST, abs=0.02)
-        refined = cds_refine(rough.allocation, backend=backend)
+        refine = cds_refine_reference if backend == "python" else cds_refine
+        refined = refine(rough.allocation)
         assert refined.cost == pytest.approx(PAPER_CDS_COST, abs=0.02)
 
 
 class TestContiguousDPMethods:
     def test_oracle_match_on_twenty_seeded_instances(self):
-        """The O(K·N log N) DP must reproduce the oracle's cost exactly."""
+        """The SMAWK DP must reproduce the quadratic reference's cost
+        exactly."""
         checked = 0
         for seed in range(10):
             for n, k in ((23, 4), (60, 7)):
                 items = _database(n, seed).sorted_by_benefit_ratio()
-                _, quadratic = contiguous_optimal(items, k, method="quadratic")
-                boundaries, fast = contiguous_optimal(
-                    items, k, method="divide-conquer"
-                )
+                _, quadratic = contiguous_quadratic(PrefixSums(items), k)
+                boundaries, fast = contiguous_optimal(items, k)
                 assert fast == quadratic, (seed, n, k)
                 # The returned boundaries must themselves realise the cost.
                 sums = PrefixSums(items)
@@ -212,18 +219,23 @@ class TestContiguousDPMethods:
                 checked += 1
         assert checked >= 20
 
-    @pytest.mark.parametrize("method", ("auto", "quadratic", "divide-conquer"))
+    @pytest.mark.parametrize("method", ("smawk", "quadratic"))
     def test_degenerate_group_counts(self, method, tiny_db):
-        boundaries, cost = contiguous_optimal(tiny_db.items, 1, method=method)
+        sums = PrefixSums(tiny_db.items)
+        if method == "quadratic":
+            solve = contiguous_quadratic
+        else:
+            def solve(sums, k):
+                return contiguous_optimal(None, k, sums=sums)
+        boundaries, cost = solve(sums, 1)
         assert boundaries == [(0, 4)]
-        boundaries, cost = contiguous_optimal(tiny_db.items, 4, method=method)
+        boundaries, cost = solve(sums, 4)
         assert boundaries == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_unknown_method_rejected(self, tiny_db):
-        from repro.exceptions import InfeasibleProblemError
-
-        with pytest.raises(InfeasibleProblemError, match="unknown method"):
-            contiguous_optimal(tiny_db.items, 2, method="magic")
+        # SMAWK is the only production DP: no method keyword exists.
+        with pytest.raises(TypeError):
+            contiguous_optimal(tiny_db.items, 2, method="quadratic")
 
 
 class TestSplitEvaluationCount:

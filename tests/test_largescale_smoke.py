@@ -6,7 +6,7 @@ leg.  The point is not micro-benchmarking — it is that DRP, CDS and
 the SMAWK DP *complete* at 10^5 items in seconds-scale wall clock
 (an accidental O(N²) slip or per-item object churn would blow the CI
 step's budget immediately) while creating zero per-item objects and
-keeping the SMAWK/divide-and-conquer bitwise cost parity.
+keeping the vectorized/scalar SMAWK bitwise parity.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+import repro.core.partition as partition
 from repro.core.cds import cds_refine
 from repro.core.cost import allocation_cost
 from repro.core.drp import drp_allocate
@@ -32,8 +33,7 @@ NUM_CHANNELS = 64
 
 #: CI exercises the dirty-pair incremental scan on one matrix leg by
 #: exporting ``REPRO_SMOKE_SCAN=incremental``; everywhere else the
-#: default "auto" resolves per the crossover (incremental at this tier
-#: on the numpy backend).
+#: default "auto" resolves per the crossover (incremental at this tier).
 SMOKE_SCAN = os.environ.get("REPRO_SMOKE_SCAN", "auto")
 
 
@@ -66,12 +66,8 @@ def test_incremental_scan_parity_at_scale(large_database):
     apply_move rounds) at a tier where a stale cell would surface.
     """
     allocation = drp_allocate(large_database, NUM_CHANNELS).allocation
-    full = cds_refine(
-        allocation, max_iterations=3, backend="numpy", scan="full"
-    )
-    incr = cds_refine(
-        allocation, max_iterations=3, backend="numpy", scan="incremental"
-    )
+    full = cds_refine(allocation, max_iterations=3, scan="full")
+    incr = cds_refine(allocation, max_iterations=3, scan="incremental")
     assert [
         (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
         for m in incr.moves
@@ -83,18 +79,17 @@ def test_incremental_scan_parity_at_scale(large_database):
     assert incr.delta_evaluations < full.delta_evaluations
 
 
-def test_smawk_parity_at_scale(large_database):
+def test_smawk_parity_at_scale(large_database, monkeypatch):
+    """Vectorized vs scalar SMAWK INTERPOLATE at N=10^5: same DP."""
     order = large_database.benefit_ratio_order()
     sums = PrefixSums.from_arrays(
         large_database.frequencies[order], large_database.sizes[order]
     )
-    k = 8  # keeps the divide-and-conquer reference seconds-scale
-    smawk_bounds, smawk_cost = contiguous_optimal(
-        None, k, method="smawk", sums=sums
-    )
-    _, dc_cost = contiguous_optimal(
-        None, k, method="divide-conquer", sums=sums
-    )
-    assert smawk_cost == dc_cost
+    k = 8  # keeps the all-scalar SMAWK reference seconds-scale
+    smawk_bounds, smawk_cost = contiguous_optimal(None, k, sums=sums)
+    monkeypatch.setattr(partition, "_SMAWK_VECTOR_ROWS", 1 << 40)
+    scalar_bounds, scalar_cost = contiguous_optimal(None, k, sums=sums)
+    assert smawk_cost == scalar_cost
+    assert smawk_bounds == scalar_bounds
     assert len(smawk_bounds) == k
     assert smawk_bounds[0][0] == 0 and smawk_bounds[-1][1] == NUM_ITEMS

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -301,7 +302,7 @@ class TestManifest:
             extra={"note": "test"},
         )
         assert manifest["seed"] == 7
-        assert manifest["backends"]["kernels_auto"] in ("numpy", "python")
+        assert manifest["numpy"] == np.__version__
         assert manifest["config_sha256"] == obs.config_digest(
             {"figure_id": "figure2", "workers": 2}
         )

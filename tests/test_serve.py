@@ -365,6 +365,33 @@ class TestFakeClockHarness:
         assert snapshot["counters"]["serve.heartbeat.beats"] > 2
 
 
+def _send_lines(port, lines):
+    """Write ``lines`` to a local socket source from a helper thread."""
+
+    def feed():
+        import socket as socket_module
+
+        with socket_module.create_connection(
+            ("127.0.0.1", port), timeout=30.0
+        ) as conn:
+            conn.sendall("".join(line + "\n" for line in lines).encode("utf-8"))
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    return writer
+
+
+#: Malformed third lines and the error each must raise, on either reader.
+MALFORMED_LINES = [
+    ("not json", "invalid JSON"),
+    ('{"t": 2.0}', "expected object"),
+    ('{"t": "abc", "id": "a"}', "bad record"),
+    ('{"t": null, "id": "a"}', "bad record"),
+    ('{"t": -1.0, "id": "a"}', "bad record"),
+    ('{"t": 0.5, "id": "a"}', "out-of-order"),
+]
+
+
 class TestSourcesAndValidation:
     def test_jsonl_replay_reproduces_in_proc_run(self, db, sizes, tmp_path):
         epochs = 5
@@ -389,29 +416,43 @@ class TestSourcesAndValidation:
     def test_socket_source_streams_records(self, db, sizes):
         records = make_stream(db, epochs=2, requests_per_epoch=40)
         with SocketSource(timeout=30.0) as source:
-            port = source.port
-
-            def feed():
-                import socket as socket_module
-
-                with socket_module.create_connection(
-                    ("127.0.0.1", port), timeout=30.0
-                ) as conn:
-                    payload = "".join(
-                        json.dumps({"t": record.timestamp, "id": record.item_id})
-                        + "\n"
-                        for record in records
-                    )
-                    conn.sendall(payload.encode("utf-8"))
-
-            writer = threading.Thread(target=feed)
-            writer.start()
+            writer = _send_lines(
+                source.port,
+                [
+                    json.dumps({"t": record.timestamp, "id": record.item_id})
+                    for record in records
+                ],
+            )
             received = list(source)
             writer.join()
         assert [r.item_id for r in received] == [r.item_id for r in records]
         assert [r.timestamp for r in received] == pytest.approx(
             [r.timestamp for r in records]
         )
+
+    @pytest.mark.parametrize("line, message", MALFORMED_LINES)
+    @pytest.mark.parametrize("reader", ("jsonl", "socket"))
+    def test_malformed_line_rejected_with_location(
+        self, reader, line, message, tmp_path
+    ):
+        """Both readers share one parser: every malformed row raises a
+        SimulationError naming the source and the line."""
+        lines = ['{"t": 1.0, "id": "a"}', "", line]
+        if reader == "jsonl":
+            path = tmp_path / "bad.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            where = f"{path}:3: "
+            with pytest.raises(SimulationError) as info:
+                list(replay_source(path))
+        else:
+            where = "socket:3: "
+            with SocketSource(timeout=30.0) as source:
+                writer = _send_lines(source.port, lines)
+                with pytest.raises(SimulationError) as info:
+                    list(source)
+                writer.join()
+        assert str(info.value).startswith(where)
+        assert message in str(info.value)
 
     def test_out_of_order_stream_rejected(self, db, sizes):
         service = make_service(

@@ -29,6 +29,8 @@ from repro.obs.timeseries import (
     SlidingWindow,
 )
 
+from .fakeclock import FakeClock
+
 
 class TestSlidingWindow:
     def test_stats_match_numpy_on_retained_samples(self):
@@ -157,14 +159,20 @@ class TestHeartbeat:
 
     def test_throttle_suppresses_rapid_beats(self):
         registry = MetricsRegistry()
-        heartbeat = Heartbeat("dp", registry, interval=3600.0)
+        # The clock starts at 0, below the interval: the first beat
+        # must still emit.
+        clock = FakeClock()
+        heartbeat = Heartbeat("dp", registry, interval=3600.0, now=clock.now)
         assert heartbeat.beat(rows=1) is True  # first beat always emits
         for i in range(100):
+            clock.advance(1.0)
             assert heartbeat.beat(rows=i) is False
         assert heartbeat.beats == 1
         heartbeat.flush(rows=99)  # flush ignores the throttle
         assert heartbeat.beats == 2
         assert registry.snapshot()["gauges"]["dp.heartbeat.rows"] == 99
+        clock.advance(3600.0)
+        assert heartbeat.beat(rows=100) is True  # throttle reopens
 
     def test_obs_factory_returns_none_when_disabled(self):
         obs.reset()

@@ -25,7 +25,7 @@ from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
 from repro.core.cost import allocation_cost
 from repro.core.database import BroadcastDatabase
-from repro.core.drp import AUTO_BACKEND_CROSSOVER, drp_allocate
+from repro.core.drp import drp_allocate
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
     AllocationCache,
@@ -36,10 +36,10 @@ from repro.core.incremental import (
     workload_fingerprint,
 )
 from repro.core.item import DataItem
-from repro.core.kernels import HAS_NUMPY
 from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import InvalidDatabaseError
 from repro.simulation.adaptive import run_adaptive_simulation
+from repro.verify.reference import cds_refine_reference
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.paper_profile import (
     PAPER_CDS_COST,
@@ -132,16 +132,18 @@ class TestWarmStartParity:
         assert warm.cost <= cold.cost + 1e-9
         assert warm.allocation.as_id_lists() == cold.allocation.as_id_lists()
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
     def test_initial_seed_backend_parity(self):
-        """cds_refine(initial=...) is bitwise-identical across backends."""
+        """cds_refine(initial=...) is bitwise-identical to the scalar
+        reference loop run from the rebased seed."""
         database = generate_database(WorkloadSpec(num_items=50, seed=9))
         previous = drp_allocate(database, 4).allocation
         drifted = _drift(database, 10, 0.04)
         seed_lists = previous.as_id_lists()
         start = drp_allocate(drifted, 4).allocation
-        py = cds_refine(start, initial=seed_lists, backend="python")
-        np_ = cds_refine(start, initial=seed_lists, backend="numpy")
+        py = cds_refine_reference(
+            ChannelAllocation.rebase(drifted, seed_lists)
+        )
+        np_ = cds_refine(start, initial=seed_lists)
         assert py.cost == np_.cost
         assert py.iterations == np_.iterations
         assert (
@@ -155,37 +157,6 @@ class TestWarmStartParity:
         result = warm_start_refine(database, 4, previous)
         assert result.mode == "cold"
         assert result.cost == pytest.approx(_cold_cost(database, 4))
-
-
-class TestAutoBackendCrossover:
-    """Satellite 1: 'auto' resolves by problem size."""
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-    def test_auto_uses_python_below_crossover(self):
-        database = generate_database(
-            WorkloadSpec(num_items=AUTO_BACKEND_CROSSOVER - 1, seed=0)
-        )
-        result = drp_allocate(database, 4, backend="auto")
-        assert result.resolved_backend == "python"
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-    def test_auto_uses_numpy_at_crossover(self):
-        database = generate_database(
-            WorkloadSpec(num_items=AUTO_BACKEND_CROSSOVER, seed=0)
-        )
-        result = drp_allocate(database, 4, backend="auto")
-        assert result.resolved_backend == "numpy"
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-    def test_explicit_numpy_honoured_at_any_size(self):
-        database = generate_database(WorkloadSpec(num_items=40, seed=0))
-        result = drp_allocate(database, 4, backend="numpy")
-        assert result.resolved_backend == "numpy"
-
-    def test_explicit_python_honoured(self):
-        database = generate_database(WorkloadSpec(num_items=40, seed=0))
-        result = drp_allocate(database, 4, backend="python")
-        assert result.resolved_backend == "python"
 
 
 class _ConstantEstimator:

@@ -202,7 +202,7 @@ MANIFEST_REQUIRED_FIELDS = (
     "python",
     "platform",
     "cpu_count",
-    "backends",
+    "numpy",
     "env",
 )
 
