@@ -28,7 +28,12 @@ scalar twin: its row times the production allocation, and a separate
 vectorized one over the whole ordered catalogue (the range DRP splits
 first).  The contiguous DP cell times SMAWK on the structure-of-arrays
 prefix sums against the quadratic reference DP and cross-checks the
-cost (schema v4).  Scalar references are skipped above
+cost.  The ``cds_warm`` rows time the serve-drift re-allocation shape
+(``repro serve`` under a rotating profile, N=5000/K=8 in the default
+sizes): a CDS-refined allocation re-seeds CDS on the profile rotated
+by ``WARM_SHIFT`` popularity ranks, once per scan mode, reporting
+µs per executed move with an in-run assert that both modes made the
+identical moves (schema v5).  Scalar references are skipped above
 ``--scalar-limit`` items and the quadratic DP above
 ``--dp-oracle-limit`` — O(K·N²) in pure Python is minutes at N=10k —
 with the skip recorded in the JSON rather than silently dropped.
@@ -65,6 +70,7 @@ except ImportError:  # running from a checkout without `pip install -e .`
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
+from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
 from repro.core.item import items_created
 from repro.core.partition import PrefixSums, best_split_in, contiguous_optimal
@@ -75,8 +81,8 @@ from repro.verify.reference import (
 )
 from repro.workloads.generator import WorkloadSpec, generate_database
 
-SCHEMA_VERSION = 4
-DEFAULT_SIZES = (100, 1000, 10000)
+SCHEMA_VERSION = 5
+DEFAULT_SIZES = (100, 1000, 5000, 10000)
 DEFAULT_CHANNELS = 8
 DEFAULT_CDS_ITERATIONS = 10
 DEFAULT_REPEATS = 3
@@ -84,6 +90,8 @@ DEFAULT_DP_ORACLE_LIMIT = 2000
 DEFAULT_SCALAR_LIMIT = 20_000
 DEFAULT_MEMORY_PROFILE_LIMIT = 200_000
 DEFAULT_SEED = 7
+#: Popularity ranks the warm-CDS rows rotate the profile by (serve-drift).
+WARM_SHIFT = 50
 
 
 def _median_seconds(function, repeats: int) -> float:
@@ -139,6 +147,50 @@ def _contiguous_seed(database, num_channels: int) -> ChannelAllocation:
     ]
     groups.append(np.arange((num_channels - 1) * size, n))
     return ChannelAllocation._from_index_groups(database, groups)
+
+
+def _warm_cds_rows(n: int, k: int, repeats: int, seed: int) -> List[dict]:
+    """Warm CDS after a ``WARM_SHIFT``-rank profile rotation, per scan mode."""
+    database = generate_database(
+        WorkloadSpec(num_items=n, skewness=1.2, seed=seed)
+    )
+    previous = cds_refine(drp_allocate(database, k).allocation).allocation
+    rotated = BroadcastDatabase.from_soa(
+        np.roll(database.frequencies, min(WARM_SHIFT, n // 2)),
+        database.sizes,
+        ids=database.item_ids,
+    )
+    rough = drp_allocate(rotated, k).allocation
+    timed = {}
+    for scan_mode in ("full", "incremental"):
+        timed[scan_mode] = _median_seconds_with_result(
+            lambda: cds_refine(rough, initial=previous, scan=scan_mode),
+            repeats,
+        )
+    full_s, full = timed["full"]
+    _, incremental = timed["incremental"]
+    assert incremental.moves == full.moves, "scan modes diverged — bug"
+    rows = []
+    for scan_mode, (seconds, result) in timed.items():
+        moves = len(result.moves)
+        rows.append({
+            "kernel": "cds_warm",
+            "n": n,
+            "k": k,
+            "shift": min(WARM_SHIFT, n // 2),
+            "scan_mode": scan_mode,
+            "iterations": moves,
+            "python_seconds": None,
+            "numpy_seconds": seconds,
+            "speedup": None,
+            "us_per_move": 1e6 * seconds / moves if moves else None,
+            "speedup_vs_full_scan": (
+                _speedup(full_s, seconds)
+                if scan_mode == "incremental"
+                else None
+            ),
+        })
+    return rows
 
 
 def _speedup(python_seconds: Optional[float], numpy_seconds: Optional[float]):
@@ -287,6 +339,9 @@ def run_benchmarks(
                 row["note"] = skip_note
             results.append(row)
 
+        # --- Warm CDS: serve-drift re-allocation, both scan modes ----
+        results.extend(_warm_cds_rows(n, k, repeats, seed))
+
         # --- DRP: full allocation, split-heavy policy ----------------
         created_before = items_created()
         numpy_s = _median_seconds(
@@ -389,6 +444,7 @@ def run_benchmarks(
             "memory_profile_limit": memory_profile_limit,
             "seed": seed,
             "cds_scan_modes": ["full", "incremental"],
+            "warm_shift": WARM_SHIFT,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": np.__version__,
@@ -436,7 +492,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
-        help="catalogue sizes N to benchmark (default: 100 1000 10000)",
+        help="catalogue sizes N to benchmark (default: 100 1000 5000 10000)",
     )
     parser.add_argument(
         "--channels", type=int, nargs="+", default=[DEFAULT_CHANNELS],

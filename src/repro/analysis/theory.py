@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.cost import DEFAULT_BANDWIDTH, waiting_time_from_cost
 from repro.core.database import BroadcastDatabase
 from repro.exceptions import InfeasibleProblemError
@@ -49,7 +51,7 @@ def cost_lower_bound(database: BroadcastDatabase, num_channels: int) -> float:
             f"num_channels must be >= 1, got {num_channels}"
         )
     sqrt_sum = math.fsum(
-        math.sqrt(item.frequency * item.size) for item in database
+        np.sqrt(database.frequencies * database.sizes).tolist()
     )
     cauchy_bound = sqrt_sum * sqrt_sum / num_channels
     product_bound = database.fixed_download_cost

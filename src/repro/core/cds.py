@@ -11,6 +11,11 @@ formulation (each of the N items against each of the K−1 other groups,
 with the scan repeated per origin group); this implementation visits each
 (item, destination) pair exactly once per iteration, i.e. ``O(K·N)``
 evaluations, each O(1) thanks to maintained ``(F_i, Z_i)`` aggregates.
+The full scan runs them as six ``K × N`` array operations over
+scan-ordered item rows (:class:`~repro.core.kernels.CDSFullScan`), and
+executing a move is one ``O(N)`` slice shift of those rows instead of
+a rebuild of the scan order; ``scan="incremental"`` drops the per-move
+evaluations to ``O(N + K²)``.
 
 A useful consequence of Eq. (4): moving the *last* item out of a group is
 never selected, because with ``F_p = f_x`` and ``Z_p = z_x`` the delta
@@ -22,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro import obs
 from repro.core import kernels
@@ -161,8 +164,8 @@ def cds_refine(
         distinct groupings is finite.
     scan:
         ``"full"`` — re-scan every ``N·(K−1)`` (item, destination)
-        pair per iteration as one broadcasted Δc matrix (the paper's
-        loop); ``"incremental"`` — maintain the dirty-pair
+        pair per iteration as one destination-major Δc matrix (the
+        paper's loop); ``"incremental"`` — maintain the dirty-pair
         :class:`~repro.core.kernels.CDSPairIndex` so a move only
         re-evaluates the ~``O(N + K²)`` pairs it dirtied; ``"auto"``
         (default) — switch to incremental past
@@ -246,6 +249,18 @@ def cds_refine(
     return result
 
 
+def _block_state(allocation: ChannelAllocation) -> kernels.CDSBlockState:
+    """The refine loops' working state, seeded from ``allocation``."""
+    stats = allocation.channel_stats
+    return kernels.CDSBlockState(
+        allocation.database.frequencies,
+        allocation.database.sizes,
+        allocation.channel_index_groups,
+        [stat.frequency for stat in stats],
+        [stat.size for stat in stats],
+    )
+
+
 def _cds_refine_full(
     allocation: ChannelAllocation,
     *,
@@ -253,57 +268,36 @@ def _cds_refine_full(
 ) -> CDSResult:
     """The full-rescan loop of :func:`cds_refine`.
 
-    Structure-of-arrays bookkeeping, end to end: the database's feature
-    arrays are read in place (catalogue order), the working state is a
-    channel index per item plus per-channel ``(F_i, Z_i)`` aggregate
-    arrays, and the per-channel index lists mirror the scalar
-    reference's mutable group lists (pop at position / append at end), so the scan
-    order — and therefore the tie-break — stays identical move for
-    move.  No :class:`DataItem` is ever materialised: the Δc scan, the
-    aggregate updates and the final rebuild all run on catalogue
-    indices (the only per-move object is the executed move's id
-    string).
+    The working state is a :class:`~repro.core.kernels.CDSBlockState`:
+    item features, origin aggregates and catalogue indices as arrays in
+    channel-block (scan) order, plus the per-channel ``(F_i, Z_i)``
+    aggregates.  Every iteration runs one
+    :class:`~repro.core.kernels.CDSFullScan` over it and executes the
+    winner with :meth:`~repro.core.kernels.CDSBlockState.move` — the
+    reference's pop-at-position / append-at-end as one slice shift — so
+    the scan order, and therefore the tie-break, stays identical move
+    for move.  No :class:`DataItem` is ever materialised (the only
+    per-move object is the executed move's id string).
     """
     database = allocation.database
-    freq = database.frequencies
-    size = database.sizes
     num_items = len(database)
-    groups: List[List[int]] = [
-        [int(i) for i in group] for group in allocation.channel_index_groups
-    ]
-    group_of = np.empty(num_items, dtype=np.intp)
-    for channel, members in enumerate(groups):
-        group_of[members] = channel
-    agg_f = np.array(
-        [stat.frequency for stat in allocation.channel_stats], dtype=np.float64
-    )
-    agg_z = np.array(
-        [stat.size for stat in allocation.channel_stats], dtype=np.float64
-    )
-    offsets = [0] * len(groups)
+    state = _block_state(allocation)
+    scan = kernels.CDSFullScan(state)
     initial_cost = allocation_cost(allocation)
     current_cost = initial_cost
-    num_channels = len(groups)
+    num_channels = state.num_channels
     evaluations = 0
     moves: List[CDSMove] = []
     converged = True
-    order = np.empty(num_items, dtype=np.intp)
     hb = obs.heartbeat("cds", rates=("delta_evaluations",))
 
     while True:
         if max_iterations is not None and len(moves) >= max_iterations:
             converged = False
             break
-        position = 0
-        for channel, members in enumerate(groups):
-            offsets[channel] = position
-            order[position: position + len(members)] = members
-            position += len(members)
-        best = kernels.cds_best_move(
-            freq, size, order, group_of, agg_f, agg_z, _IMPROVEMENT_EPSILON
-        )
-        # One full matrix per scan; the masked own-channel column is
-        # not an Eq. (4) evaluation, matching the scalar count.
+        best = scan.best_move(_IMPROVEMENT_EPSILON)
+        # One full scan; the own-channel cells are not Eq. (4)
+        # evaluations, matching the scalar count.
         evaluations += num_items * (num_channels - 1)
         if hb is not None:
             hb.beat(
@@ -314,17 +308,7 @@ def _cds_refine_full(
         if best is None:
             break
         delta, rank, destination = best
-        index = int(order[rank])
-        origin = int(group_of[index])
-        groups[origin].pop(rank - offsets[origin])
-        groups[destination].append(index)
-        group_of[index] = destination
-        item_frequency = float(freq[index])
-        item_size = float(size[index])
-        agg_f[origin] -= item_frequency
-        agg_z[origin] -= item_size
-        agg_f[destination] += item_frequency
-        agg_z[destination] += item_size
+        index, origin = state.move(rank, destination)
         current_cost -= delta
         moves.append(
             CDSMove(
@@ -340,7 +324,7 @@ def _cds_refine_full(
         hb.flush(
             moves=len(moves), cost=current_cost, delta_evaluations=evaluations
         )
-    refined = allocation.replace_index_groups(groups)
+    refined = allocation.replace_index_groups(state.index_groups())
     # Recompute from scratch to shed accumulated floating-point drift.
     final_cost = allocation_cost(refined)
     return CDSResult(
@@ -361,10 +345,9 @@ def _cds_refine_incremental(
 ) -> CDSResult:
     """The dirty-pair incremental scan of :func:`cds_refine`.
 
-    Identical working state to :func:`_cds_refine_full` — catalogue
-    feature arrays, per-channel index lists mutated pop-at-position /
-    append-at-end, incrementally maintained ``(F_i, Z_i)`` aggregate
-    arrays — but the per-iteration best-move search reads the
+    Identical working state to :func:`_cds_refine_full` — the
+    :class:`~repro.core.kernels.CDSBlockState` — but the per-iteration
+    best-move search reads the
     :class:`~repro.core.kernels.CDSPairIndex` instead of rescanning
     all ``N·(K−1)`` pairs.  After a move ``o → d`` only cells with
     origin or destination in ``{o, d}`` are recomputed (the move
@@ -379,24 +362,12 @@ def _cds_refine_incremental(
     fresh scan would recompute.  See docs/verification.md.
     """
     database = allocation.database
-    freq = database.frequencies
-    size = database.sizes
-    groups: List[List[int]] = [
-        [int(i) for i in group] for group in allocation.channel_index_groups
-    ]
-    agg_f = np.array(
-        [stat.frequency for stat in allocation.channel_stats], dtype=np.float64
-    )
-    agg_z = np.array(
-        [stat.size for stat in allocation.channel_stats], dtype=np.float64
-    )
     initial_cost = allocation_cost(allocation)
     current_cost = initial_cost
     moves: List[CDSMove] = []
     converged = True
-    index = kernels.CDSPairIndex(
-        freq, size, groups, agg_f, agg_z, workers=scan_workers
-    )
+    state = _block_state(allocation)
+    index = kernels.CDSPairIndex(state, workers=scan_workers)
     dirty: Optional[Tuple[int, int]] = None
     hb = obs.heartbeat("cds", rates=("delta_evaluations",))
 
@@ -417,14 +388,7 @@ def _cds_refine_incremental(
         if best is None:
             break
         delta, origin, position, destination = best
-        item_index = groups[origin].pop(position)
-        groups[destination].append(item_index)
-        item_frequency = float(freq[item_index])
-        item_size = float(size[item_index])
-        agg_f[origin] -= item_frequency
-        agg_z[origin] -= item_size
-        agg_f[destination] += item_frequency
-        agg_z[destination] += item_size
+        item_index, _ = state.move(state.starts[origin] + position, destination)
         dirty = (origin, destination)
         current_cost -= delta
         moves.append(
@@ -443,7 +407,7 @@ def _cds_refine_incremental(
             cost=current_cost,
             delta_evaluations=index.evaluations,
         )
-    refined = allocation.replace_index_groups(groups)
+    refined = allocation.replace_index_groups(state.index_groups())
     # Recompute from scratch to shed accumulated floating-point drift.
     final_cost = allocation_cost(refined)
     return CDSResult(

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.allocation import ChannelAllocation
 from repro.core.item import DataItem
 from repro.exceptions import InvalidAllocationError
@@ -34,6 +36,7 @@ __all__ = [
     "group_aggregates",
     "allocation_cost",
     "soa_allocation_cost",
+    "cost_under_profile",
     "channel_costs",
     "item_waiting_time",
     "channel_waiting_time",
@@ -115,6 +118,27 @@ def soa_allocation_cost(frequencies, sizes, index_groups) -> float:
         size = math.fsum(sizes[group].tolist())
         costs.append(frequency * size)
     return math.fsum(costs)
+
+
+def cost_under_profile(
+    allocation: ChannelAllocation, item_ids: Sequence[str], frequencies
+) -> float:
+    """Eq. (3) cost of ``allocation``'s grouping under a substituted profile.
+
+    ``frequencies[i]`` is the access frequency of ``item_ids[i]``; the
+    sizes stay the allocation's own.  Items are matched by id, so the
+    profile may list the catalogue in any order.  Runs on the feature
+    arrays and index groups through :func:`soa_allocation_cost` — no
+    item objects.
+    """
+    database = allocation.database
+    frequencies = np.asarray(frequencies, dtype=np.float64)
+    if tuple(item_ids) != database.item_ids:
+        position = {item_id: i for i, item_id in enumerate(item_ids)}
+        frequencies = frequencies[[position[i] for i in database.item_ids]]
+    return soa_allocation_cost(
+        frequencies, database.sizes, allocation.channel_index_groups
+    )
 
 
 # ----------------------------------------------------------------------

@@ -47,14 +47,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.allocation import ChannelAllocation
-from repro.core.cost import DEFAULT_BANDWIDTH
+from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
     AllocationCache,
     IncrementalAllocator,
 )
-from repro.core.item import DataItem
 from repro.exceptions import SimulationError
 from repro.service.clock import Clock, SystemClock
 from repro.simulation.adaptive import RotatingDrift
@@ -369,13 +368,15 @@ class BroadcastService:
             regression_guard=regression_guard,
             cache=cache if cache is not None else AllocationCache(),
         )
+        self._size_array = np.array(
+            [self._sizes[item_id] for item_id in self._catalogue],
+            dtype=np.float64,
+        )
         if initial_database is None:
-            uniform = 1.0 / len(self._catalogue)
-            initial_database = BroadcastDatabase(
-                [
-                    DataItem(item_id, frequency=uniform, size=self._sizes[item_id])
-                    for item_id in self._catalogue
-                ]
+            initial_database = BroadcastDatabase.from_soa(
+                np.full(len(self._catalogue), 1.0 / len(self._catalogue)),
+                self._size_array,
+                ids=self._catalogue,
             )
         self._believed = initial_database
         result = self._engine.reallocate(self._believed)
@@ -533,11 +534,9 @@ class BroadcastService:
     ) -> None:
         epoch = len(self.reports)
         with obs.span("serve.epoch", epoch=epoch, requests=len(waits)):
-            believed_profile = {
-                item.item_id: item.frequency for item in self._believed.items
-            }
-            cost = _cost_under_profile(
-                self.live.allocation, believed_profile
+            believed = self._believed
+            cost = cost_under_profile(
+                self.live.allocation, believed.item_ids, believed.frequencies
             )
             report = ServeEpochReport(
                 epoch=epoch,
@@ -585,7 +584,10 @@ class BroadcastService:
                 self._last_drift = 0.0
                 return
             estimated_profile = self.profile(timestamp=end)
-            drift = profile_l1_error(believed_profile, estimated_profile)
+            drift = profile_l1_error(
+                dict(zip(believed.item_ids, believed.frequencies.tolist())),
+                estimated_profile,
+            )
             self._last_drift = drift
             if drift == 0.0:
                 # Zero drift: the deterministic engine would reproduce
@@ -596,15 +598,10 @@ class BroadcastService:
                     registry.counter("incremental.cache_hits").inc()
                 self._engine.stats.cache_hits += 1
                 return
-            self._believed = BroadcastDatabase(
-                [
-                    DataItem(
-                        item_id,
-                        frequency=estimated_profile[item_id],
-                        size=self._sizes[item_id],
-                    )
-                    for item_id in self._catalogue
-                ]
+            self._believed = BroadcastDatabase.from_soa(
+                [estimated_profile[item_id] for item_id in self._catalogue],
+                self._size_array,
+                ids=self._catalogue,
             )
             result = self._engine.reallocate(self._believed)
             self._mode = result.mode
@@ -615,18 +612,6 @@ class BroadcastService:
             self._pending_switch = self.live.stage(
                 result.allocation, requested_at=end
             )
-
-
-def _cost_under_profile(
-    allocation: ChannelAllocation, profile: Dict[str, float]
-) -> float:
-    """Eq.-(3) cost of an allocation under a substituted frequency map."""
-    total = 0.0
-    for group in allocation.channels:
-        freq = sum(profile[item.item_id] for item in group)
-        size = sum(item.size for item in group)
-        total += freq * size
-    return total
 
 
 # ----------------------------------------------------------------------

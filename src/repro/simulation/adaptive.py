@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.allocation import ChannelAllocation
-from repro.core.cost import DEFAULT_BANDWIDTH
+from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
@@ -242,15 +242,15 @@ def run_adaptive_simulation(
             program.waiting_time(record.item_id, record.timestamp)
             for record in trace
         ]
-        believed_profile = {
-            item.item_id: item.frequency for item in believed.items
-        }
+        believed_profile = dict(
+            zip(believed.item_ids, believed.frequencies.tolist())
+        )
         true_profile = dict(zip(ids, truth.tolist()))
         reports.append(
             EpochReport(
                 epoch=epoch,
                 measured=summarize(waits),
-                cost_under_truth=_cost_under_profile(allocation, true_profile),
+                cost_under_truth=cost_under_profile(allocation, ids, truth),
                 profile_error=profile_l1_error(believed_profile, true_profile),
                 reallocated=reallocated,
                 cache_hit=cache_hit,
@@ -278,9 +278,9 @@ def run_adaptive_simulation(
         warm_moves = 0
         if adapt and epoch + 1 < epochs:
             estimated = estimate_database(trace, sizes, estimator=estimator)
-            estimated_profile = {
-                item.item_id: item.frequency for item in estimated.items
-            }
+            estimated_profile = dict(
+                zip(estimated.item_ids, estimated.frequencies.tolist())
+            )
             if profile_l1_error(believed_profile, estimated_profile) == 0.0:
                 # Zero drift: the deterministic allocator would
                 # reproduce the current program — skip the rebuild and
@@ -308,15 +308,3 @@ def run_adaptive_simulation(
                 program = BroadcastProgram(allocation, bandwidth=bandwidth)
                 reallocated = True
     return reports
-
-
-def _cost_under_profile(
-    allocation: ChannelAllocation, profile: Dict[str, float]
-) -> float:
-    """Eq.-(3) cost of an allocation under a substituted frequency map."""
-    total = 0.0
-    for group in allocation.channels:
-        freq = sum(profile[item.item_id] for item in group)
-        size = sum(item.size for item in group)
-        total += freq * size
-    return total

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import kernels
 from repro.core.allocation import ChannelAllocation
-from repro.core.cds import cds_refine
+from repro.core.cds import _IMPROVEMENT_EPSILON, cds_refine
 from repro.core.cost import allocation_cost
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
@@ -24,6 +24,8 @@ from repro.exceptions import ReproError
 from repro.core.item import DataItem
 from repro.core.kernels import (
     CDS_INCREMENTAL_SCAN_CROSSOVER,
+    CDSBlockState,
+    CDSFullScan,
     CDSPairIndex,
     resolve_scan,
 )
@@ -49,6 +51,64 @@ def assert_identical_runs(full, incremental):
         incremental.allocation.as_id_lists() == full.allocation.as_id_lists()
     )
     assert incremental.converged == full.converged
+
+
+def block_state(alloc):
+    stats = alloc.channel_stats
+    return CDSBlockState(
+        alloc.database.frequencies,
+        alloc.database.sizes,
+        alloc.channel_index_groups,
+        [s.frequency for s in stats],
+        [s.size for s in stats],
+    )
+
+
+def full_scan_moves(alloc, chunk, limit):
+    """Drive :class:`CDSFullScan` at a ``chunk``-element block budget
+    for at most ``limit`` moves; returns the ``(id, origin,
+    destination, delta)`` moves and the final state."""
+    state = block_state(alloc)
+    scan = CDSFullScan(state, chunk_elements=chunk)
+    moves = []
+    while len(moves) < limit and (
+        best := scan.best_move(_IMPROVEMENT_EPSILON)
+    ) is not None:
+        delta, rank, destination = best
+        index, origin = state.move(rank, destination)
+        moves.append(
+            (alloc.database.item_id_at(index), origin, destination, delta)
+        )
+    return moves, state
+
+
+def pair_index_moves(alloc, chunk, limit):
+    """The same loop through :class:`CDSPairIndex`'s dirty-pair updates."""
+    state = block_state(alloc)
+    index = CDSPairIndex(state, workers=1, chunk_elements=chunk)
+    moves = []
+    while len(moves) < limit and (
+        best := index.best_move(_IMPROVEMENT_EPSILON)
+    ) is not None:
+        delta, origin, position, destination = best
+        item, _ = state.move(state.starts[origin] + position, destination)
+        index.apply_move(origin, destination)
+        moves.append(
+            (alloc.database.item_id_at(item), origin, destination, delta)
+        )
+    return moves, state
+
+
+def assert_reference_moves(alloc, run_kernel, chunk):
+    """A kernel-driven move list and final state against the reference
+    (capped one move past it, so a wrong pick cannot loop forever)."""
+    reference = cds_refine_reference(alloc)
+    moves, state = run_kernel(alloc, chunk, len(reference.moves) + 1)
+    assert moves == [
+        (m.item_id, m.origin, m.destination, m.delta) for m in reference.moves
+    ]
+    final = alloc.replace_index_groups(state.index_groups())
+    assert final.as_id_lists() == reference.allocation.as_id_lists()
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +203,42 @@ class TestMoveSequenceParity:
             assert_identical_runs(full, incr)
 
 
+class TestTieLattice:
+    """Integer features from a 3×3 lattice make Eq. (4) exact and tie
+    everywhere — across ranks, across destinations, and between the
+    two at once — so every selection stage and every block merge is
+    exercised against the reference move by move."""
+
+    @staticmethod
+    def allocation(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 40))
+        k = int(rng.integers(2, 7))
+        db = BroadcastDatabase.from_soa(
+            rng.integers(1, 4, n).astype(float),
+            rng.integers(1, 4, n).astype(float),
+            require_normalized=False,
+        )
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        groups = [np.flatnonzero(labels == c) for c in range(k)]
+        return ChannelAllocation(db, [[db.items[i] for i in g] for g in groups])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_all_modes_match_reference(self, seed):
+        alloc = self.allocation(seed)
+        reference = cds_refine_reference(alloc)
+        assert_identical_runs(reference, cds_refine(alloc, scan="full"))
+        assert_identical_runs(reference, cds_refine(alloc, scan="incremental"))
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("chunk", (1, 7))
+    def test_small_block_budgets_match_reference(self, seed, chunk):
+        alloc = self.allocation(seed)
+        assert_reference_moves(alloc, full_scan_moves, chunk)
+        assert_reference_moves(alloc, pair_index_moves, chunk)
+
+
 # ----------------------------------------------------------------------
 # Warm-start composition
 # ----------------------------------------------------------------------
@@ -166,6 +262,23 @@ class TestWarmStartComposition:
         )
         assert_identical_runs(full, incr)
         assert incr.initial_cost == full.initial_cost
+
+    @pytest.mark.parametrize("k", (2, 4, 7))
+    def test_warm_start_matches_reference(self, k):
+        """A drifted-profile warm start, move by move against the
+        reference loop on the rebased seed."""
+        before, after = (
+            generate_database(
+                WorkloadSpec(num_items=160, skewness=1.1, diversity=2.0, seed=s)
+            )
+            for s in (31, 32)
+        )
+        seeded = cds_refine(drp_allocate(before, k).allocation).allocation
+        rough = drp_allocate(after, k).allocation
+        reference = cds_refine_reference(ChannelAllocation.rebase(after, seeded))
+        for scan in ("full", "incremental"):
+            warm = cds_refine(rough, initial=seeded, scan=scan)
+            assert_identical_runs(reference, warm)
 
     def test_warm_start_refine_forwards_scan(self, medium_db):
         from repro.core.incremental import warm_start_refine
@@ -231,16 +344,7 @@ class TestEvaluationAccounting:
 
 class TestChunkedScanDeterminism:
     def make_index(self, db, k, **kwargs):
-        alloc = worst_case_seed(db, k)
-        groups = [
-            [int(i) for i in group] for group in alloc.channel_index_groups
-        ]
-        stats = alloc.channel_stats
-        agg_f = np.array([s.frequency for s in stats], dtype=np.float64)
-        agg_z = np.array([s.size for s in stats], dtype=np.float64)
-        return CDSPairIndex(
-            db.frequencies, db.sizes, groups, agg_f, agg_z, **kwargs
-        )
+        return CDSPairIndex(block_state(worst_case_seed(db, k)), **kwargs)
 
     def test_worker_count_invariance(self):
         db = generate_database(
@@ -263,6 +367,19 @@ class TestChunkedScanDeterminism:
             other = self.make_index(db, 6, chunk_elements=chunk)
             assert np.array_equal(other.best_delta, base.best_delta)
             assert np.array_equal(other.best_pos, base.best_pos)
+
+    @pytest.mark.parametrize("chunk", (1, 5, 64, 257))
+    def test_block_budget_matches_reference(self, chunk):
+        """Budgets far below N·K split the rank axis into many blocks
+        (one rank per block at the smallest); the cross-block strict-``>``
+        merges of the full scan and of the index must keep the
+        reference's winner move by move."""
+        db = generate_database(
+            WorkloadSpec(num_items=150, skewness=0.7, diversity=1.0, seed=6)
+        )
+        alloc = worst_case_seed(db, 6)
+        assert_reference_moves(alloc, full_scan_moves, chunk)
+        assert_reference_moves(alloc, pair_index_moves, chunk)
 
     def test_refine_with_workers_matches_serial(self, medium_db):
         seed = worst_case_seed(medium_db, 5)

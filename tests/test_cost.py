@@ -12,6 +12,7 @@ from repro.core.cost import (
     average_waiting_time,
     channel_costs,
     channel_waiting_time,
+    cost_under_profile,
     group_aggregates,
     group_cost,
     item_waiting_time,
@@ -66,6 +67,34 @@ class TestAllocationCost:
         assert allocation_cost(forward) == pytest.approx(
             allocation_cost(backward)
         )
+
+
+class TestCostUnderProfile:
+    def test_matches_item_walk(self, medium_db):
+        """The array path equals the per-item sum it replaced."""
+        items = medium_db.items
+        allocation = ChannelAllocation(
+            medium_db, [items[:7], items[7:19], items[19:]]
+        )
+        profile = {
+            item.item_id: 1.0 / len(items) for item in reversed(items)
+        }
+        walked = sum(
+            sum(profile[item.item_id] for item in group)
+            * sum(item.size for item in group)
+            for group in allocation.channels
+        )
+        got = cost_under_profile(
+            allocation, list(profile), list(profile.values())
+        )
+        assert got == pytest.approx(walked, rel=1e-12)
+
+    def test_own_profile_is_allocation_cost(self, medium_db):
+        items = medium_db.items
+        allocation = ChannelAllocation(medium_db, [items[:12], items[12:]])
+        assert cost_under_profile(
+            allocation, medium_db.item_ids, medium_db.frequencies
+        ) == allocation_cost(allocation)
 
 
 class TestWaitingTimes:

@@ -22,6 +22,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.core.cost import cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import AllocationCache, IncrementalAllocator
 from repro.core.item import DataItem
@@ -33,7 +34,6 @@ from repro.service import (
     drifting_stream,
     replay_source,
 )
-from repro.service.serve import _cost_under_profile
 from repro.workloads.estimator import profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.sketch import CountMinSketch
@@ -174,8 +174,11 @@ class TestOracleParity:
         for record in records:
             exact.add(record.item_id, timestamp=record.timestamp)
         truth = exact.estimate_profile(list(sizes), smoothing=SMOOTHING)
-        sketch_cost = _cost_under_profile(service.live.allocation, truth)
-        oracle_cost = _cost_under_profile(oracle_allocation, truth)
+        ids, frequencies = list(truth), list(truth.values())
+        sketch_cost = cost_under_profile(
+            service.live.allocation, ids, frequencies
+        )
+        oracle_cost = cost_under_profile(oracle_allocation, ids, frequencies)
         assert sketch_cost <= 1.02 * oracle_cost
         # The stream kept the estimator tiny: O(width x depth), not
         # O(requests) — the point of the sketch path.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.theory import (
@@ -59,6 +61,15 @@ class TestCostLowerBound:
     def test_invalid_k(self, medium_db):
         with pytest.raises(InfeasibleProblemError):
             cost_lower_bound(medium_db, 0)
+
+    def test_array_sum_is_the_item_sum(self, medium_db):
+        """The vectorized bound is bitwise the per-item fsum."""
+        sqrt_sum = math.fsum(
+            math.sqrt(item.frequency * item.size) for item in medium_db
+        )
+        assert cost_lower_bound(medium_db, 4) == max(
+            sqrt_sum * sqrt_sum / 4, medium_db.fixed_download_cost
+        )
 
 
 class TestWaitingTimeLowerBound:
