@@ -37,8 +37,8 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.cost import cost_under_profile
 from repro.service import BroadcastService, drifting_stream
-from repro.service.serve import _cost_under_profile
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.sketch import CountMinSketch
 
@@ -141,10 +141,13 @@ def run_benchmarks(
     # Judge both final allocations under the oracle's exact belief —
     # the same yardstick as tests/test_serve.py.
     truth = finals["exact"].profile()
-    sketch_cost = _cost_under_profile(
-        finals["sketch"].live.allocation, truth
+    ids, frequencies = list(truth), list(truth.values())
+    sketch_cost = cost_under_profile(
+        finals["sketch"].live.allocation, ids, frequencies
     )
-    oracle_cost = _cost_under_profile(finals["exact"].live.allocation, truth)
+    oracle_cost = cost_under_profile(
+        finals["exact"].live.allocation, ids, frequencies
+    )
     results = [rows["sketch"], rows["exact"]]
     results[0]["final_cost_ratio_vs_exact"] = sketch_cost / oracle_cost
     results[0]["state_ratio_vs_exact"] = (
