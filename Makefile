@@ -51,8 +51,8 @@ bench-obs:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
 
 # Live-service ingestion throughput (epochs/s, requests/s) with the
-# count-min sketch vs the exact-counter oracle baseline; writes
-# BENCH_serve.json at the repo root (schema in docs/serving.md).
+# service's decayed-count estimator; writes BENCH_serve.json at the
+# repo root (schema in docs/serving.md).
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve.py
 

@@ -1,14 +1,10 @@
-"""Live-service bench: sketch-based serving vs the exact-counter oracle.
+"""Live-service bench: the ``repro serve`` ingestion loop end to end.
 
-Measures the ``repro serve`` ingestion loop end to end — request
-serving, sketch updates, epoch re-estimation, warm re-allocation and
-cycle-aligned handover — on a generated drifting stream, once with the
-count-min estimator and once with the exact-counter oracle baseline.
-Headlines are **ingested requests/second** and **epochs/second**, plus
-the sketch's final-epoch allocation-cost ratio against the oracle
-(bounded by the 1.02x regression guard in the end-to-end tests) and the
-estimator state sizes (the sketch's O(width x depth) vs the oracle's
-O(items)).
+Measures request serving, decayed-count updates, epoch re-estimation,
+warm re-allocation and cycle-aligned handover on a generated drifting
+stream.  Headlines are **ingested requests/second** and
+**epochs/second**, plus the estimator's state size (one count per
+catalogue item).
 
 Run standalone (CI smoke uses ``--requests-per-epoch 300 --epochs 4``)::
 
@@ -16,8 +12,7 @@ Run standalone (CI smoke uses ``--requests-per-epoch 300 --epochs 4``)::
         [--requests-per-epoch 3000] [--output BENCH_serve.json]
 
 or via ``make bench-serve``.  Timings are medians over ``--repeats``
-full service runs; both estimator modes consume the identical
-pre-materialised stream.
+full service runs over the same pre-materialised stream.
 """
 
 from __future__ import annotations
@@ -37,12 +32,10 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.cost import cost_under_profile
 from repro.service import BroadcastService, drifting_stream
 from repro.workloads.generator import WorkloadSpec, generate_database
-from repro.workloads.sketch import CountMinSketch
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_ITEMS = 2_000
 DEFAULT_CHANNELS = 8
 DEFAULT_EPOCHS = 12
@@ -51,8 +44,6 @@ DEFAULT_REQUESTS_PER_EPOCH = 3_000
 # fits inside one epoch, so every staged re-allocation actually promotes
 # (handovers ~ epochs) instead of being replaced while pending.
 DEFAULT_EPOCH_SECONDS = 600.0
-DEFAULT_WIDTH = 1024
-DEFAULT_DEPTH = 4
 DEFAULT_REPEATS = 3
 DEFAULT_SEED = 7
 
@@ -62,12 +53,11 @@ def _median(samples: List[float]) -> float:
     return ordered[len(ordered) // 2]
 
 
-def _run_once(sizes, database, records, *, channels, epoch_seconds, sketch):
+def _run_once(sizes, database, records, *, channels, epoch_seconds):
     service = BroadcastService(
         sizes,
         channels,
         epoch_seconds=epoch_seconds,
-        sketch=sketch,
         initial_database=database,
     )
     start = time.perf_counter()
@@ -82,17 +72,14 @@ def run_benchmarks(
     epochs: int = DEFAULT_EPOCHS,
     requests_per_epoch: int = DEFAULT_REQUESTS_PER_EPOCH,
     epoch_seconds: float = DEFAULT_EPOCH_SECONDS,
-    sketch_width: int = DEFAULT_WIDTH,
-    sketch_depth: int = DEFAULT_DEPTH,
     repeats: int = DEFAULT_REPEATS,
     seed: int = DEFAULT_SEED,
 ) -> dict:
-    """Time sketch vs exact-oracle service runs; return the BENCH doc."""
+    """Time full service runs; return the BENCH doc."""
     database = generate_database(
         WorkloadSpec(num_items=num_items, skewness=1.2, seed=seed)
     )
     sizes = {item.item_id: item.size for item in database.items}
-    half_life = 2.0 * epoch_seconds
     records = list(
         drifting_stream(
             database,
@@ -102,57 +89,30 @@ def run_benchmarks(
             seed=seed,
         )
     )
-    variants = {
-        "sketch": lambda: CountMinSketch(
-            sketch_width, sketch_depth, half_life=half_life
-        ),
-        "exact": lambda: CountMinSketch(1, 1, half_life=half_life, exact=True),
+    samples: List[float] = []
+    service = reports = None
+    for _ in range(repeats):
+        service, reports, elapsed = _run_once(
+            sizes,
+            database,
+            records,
+            channels=num_channels,
+            epoch_seconds=epoch_seconds,
+        )
+        samples.append(elapsed)
+    seconds = _median(samples)
+    row = {
+        "n": num_items,
+        "k": num_channels,
+        "epochs": len(reports),
+        "requests": len(records),
+        "seconds": seconds,
+        "requests_per_second": len(records) / seconds,
+        "epochs_per_second": len(reports) / seconds,
+        "handovers": len(service.live.handovers),
+        "estimator_state": service.estimator.state_size,
+        "modes": _mode_counts(reports),
     }
-    rows = {}
-    finals = {}
-    for name, make_sketch in variants.items():
-        samples: List[float] = []
-        service = reports = None
-        for _ in range(repeats):
-            service, reports, elapsed = _run_once(
-                sizes,
-                database,
-                records,
-                channels=num_channels,
-                epoch_seconds=epoch_seconds,
-                sketch=make_sketch(),
-            )
-            samples.append(elapsed)
-        seconds = _median(samples)
-        rows[name] = {
-            "estimator": name,
-            "n": num_items,
-            "k": num_channels,
-            "epochs": len(reports),
-            "requests": len(records),
-            "seconds": seconds,
-            "requests_per_second": len(records) / seconds,
-            "epochs_per_second": len(reports) / seconds,
-            "handovers": len(service.live.handovers),
-            "estimator_state": service.sketch.state_size,
-            "modes": _mode_counts(reports),
-        }
-        finals[name] = service
-    # Judge both final allocations under the oracle's exact belief —
-    # the same yardstick as tests/test_serve.py.
-    truth = finals["exact"].profile()
-    ids, frequencies = list(truth), list(truth.values())
-    sketch_cost = cost_under_profile(
-        finals["sketch"].live.allocation, ids, frequencies
-    )
-    oracle_cost = cost_under_profile(
-        finals["exact"].live.allocation, ids, frequencies
-    )
-    results = [rows["sketch"], rows["exact"]]
-    results[0]["final_cost_ratio_vs_exact"] = sketch_cost / oracle_cost
-    results[0]["state_ratio_vs_exact"] = (
-        rows["sketch"]["estimator_state"] / rows["exact"]["estimator_state"]
-    )
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_by": "benchmarks/bench_serve.py",
@@ -162,14 +122,13 @@ def run_benchmarks(
             "epochs": epochs,
             "requests_per_epoch": requests_per_epoch,
             "epoch_seconds": epoch_seconds,
-            "sketch_width": sketch_width,
-            "sketch_depth": sketch_depth,
+            "half_life": service.estimator.half_life,
             "repeats": repeats,
             "seed": seed,
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
-        "results": results,
+        "results": [row],
     }
 
 
@@ -181,25 +140,14 @@ def _mode_counts(reports) -> dict:
 
 
 def _format_report(document: dict) -> str:
-    lines = [
-        f"{'estimator':>9}  {'req/s':>10}  {'epochs/s':>9}  "
-        f"{'state':>9}  {'handovers':>9}"
-    ]
-    for row in document["results"]:
-        lines.append(
-            f"{row['estimator']:>9}  "
-            f"{row['requests_per_second']:>10.0f}  "
-            f"{row['epochs_per_second']:>9.2f}  "
-            f"{row['estimator_state']:>9}  "
-            f"{row['handovers']:>9}"
-        )
-    sketch_row = document["results"][0]
-    lines.append(
-        f"final cost ratio vs exact oracle: "
-        f"{sketch_row['final_cost_ratio_vs_exact']:.4f} "
-        f"(state {sketch_row['state_ratio_vs_exact']:.2f}x of exact)"
+    row = document["results"][0]
+    return (
+        f"{'req/s':>10}  {'epochs/s':>9}  {'state':>9}  {'handovers':>9}\n"
+        f"{row['requests_per_second']:>10.0f}  "
+        f"{row['epochs_per_second']:>9.2f}  "
+        f"{row['estimator_state']:>9}  "
+        f"{row['handovers']:>9}"
     )
-    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -221,16 +169,8 @@ def main(argv=None) -> int:
         help="request volume per epoch (default: 3000)",
     )
     parser.add_argument(
-        "--sketch-width", type=int, default=DEFAULT_WIDTH,
-        help="count-min width (default: 1024)",
-    )
-    parser.add_argument(
-        "--sketch-depth", type=int, default=DEFAULT_DEPTH,
-        help="count-min depth (default: 4)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=DEFAULT_REPEATS,
-        help="timed service runs per estimator; median wins (default: 3)",
+        help="timed service runs; median wins (default: 3)",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
@@ -244,8 +184,6 @@ def main(argv=None) -> int:
         num_channels=options.channels,
         epochs=options.epochs,
         requests_per_epoch=options.requests_per_epoch,
-        sketch_width=options.sketch_width,
-        sketch_depth=options.sketch_depth,
         repeats=options.repeats,
         seed=options.seed,
     )
@@ -259,8 +197,8 @@ def main(argv=None) -> int:
 # pytest-benchmark wrappers (keep `make bench` coverage)
 # ----------------------------------------------------------------------
 def test_serve_ingest_smoke(benchmark):
-    """Small smoke of the BENCH_serve harness: sketch serving works and
-    stays within the regression guard of the exact oracle."""
+    """Small smoke of the BENCH_serve harness: the service serves every
+    request and holds one count per catalogue item."""
     from benchmarks.conftest import save_report
 
     document = benchmark.pedantic(
@@ -273,9 +211,10 @@ def test_serve_ingest_smoke(benchmark):
         rounds=1,
         iterations=1,
     )
-    sketch_row = document["results"][0]
-    assert sketch_row["requests_per_second"] > 0
-    assert sketch_row["final_cost_ratio_vs_exact"] <= 1.02 + 1e-9
+    row = document["results"][0]
+    assert row["requests_per_second"] > 0
+    assert row["requests"] == 4 * 400
+    assert row["estimator_state"] == 300
     save_report("serve_ingest", _format_report(document))
 
 

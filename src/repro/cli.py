@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="run the live broadcast service: sketch-based streaming "
+        help="run the live broadcast service: decayed-count streaming "
         "estimation, epoch warm re-allocation, cycle-aligned handover",
     )
     serve.add_argument("--items", type=int, default=60)
@@ -362,29 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="epoch length in stream time (default: 60)",
     )
     serve.add_argument(
-        "--sketch-width", type=int, default=1024,
-        help="count-min sketch counters per row (default: 1024)",
-    )
-    serve.add_argument(
-        "--sketch-depth", type=int, default=4,
-        help="count-min sketch hash rows (default: 4)",
-    )
-    serve.add_argument(
         "--half-life", type=float, default=None,
-        help="sketch decay half-life in stream seconds "
-        "(default: 2 x epoch length)",
-    )
-    serve.add_argument(
-        "--conservative",
-        action="store_true",
-        help="use the conservative-update sketch rule (tighter estimates)",
-    )
-    serve.add_argument(
-        "--exact",
-        action="store_true",
-        help="exact-counter oracle mode: estimate from true decayed "
-        "counts (O(items) state; the baseline the sketch is judged "
-        "against)",
+        help="decay half-life of the request counts in stream seconds "
+        "(default: 2 x epoch length; inf counts plain occurrences)",
     )
     serve.add_argument(
         "--smoothing", type=float, default=1.0,
@@ -1061,30 +1041,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import BroadcastService, drifting_stream, replay_source
     from repro.simulation.adaptive import RotatingDrift
-    from repro.workloads.sketch import CountMinSketch
     from repro.workloads.trace import save_trace_jsonl
 
     database = generate_database(
         WorkloadSpec(num_items=args.items, skewness=1.2, seed=args.seed)
     )
     sizes = {item.item_id: item.size for item in database.items}
-    half_life = (
-        args.half_life
-        if args.half_life is not None
-        else 2.0 * args.epoch_seconds
-    )
-    sketch = CountMinSketch(
-        args.sketch_width,
-        args.sketch_depth,
-        half_life=half_life,
-        conservative=args.conservative,
-        exact=args.exact,
-    )
     service = BroadcastService(
         sizes,
         args.channels,
         epoch_seconds=args.epoch_seconds,
-        sketch=sketch,
+        half_life=args.half_life,
         smoothing=args.smoothing,
         initial_database=database,
         pace=args.pace,
@@ -1122,6 +1089,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         source = _tee(source)
     reports = service.run(source, max_epochs=args.max_epochs)
+    estimator = service.estimator
     if args.record is not None:
         save_trace_jsonl(recorded, args.record)
     if args.json:
@@ -1132,14 +1100,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "epochs": [report.to_dict() for report in reports],
                     "handovers": len(service.live.handovers),
                     "total_requests": service.total_requests,
-                    "sketch": {
-                        "width": sketch.width,
-                        "depth": sketch.depth,
-                        "half_life": sketch.half_life,
-                        "exact": sketch.exact,
-                        "state_size": sketch.state_size,
-                        "epsilon": sketch.epsilon,
-                        "rescales": sketch.rescales,
+                    "estimator": {
+                        "half_life": estimator.half_life,
+                        "state_size": estimator.state_size,
                     },
                 },
                 indent=2,
@@ -1174,14 +1137,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             precision=3,
         )
     )
-    estimator = "exact oracle counters" if args.exact else (
-        f"count-min {sketch.width}x{sketch.depth} "
-        f"(eps={sketch.epsilon:.2%} of mass)"
-    )
     print(
         f"\n{service.total_requests} requests, {len(reports)} epochs, "
-        f"{len(service.live.handovers)} handovers; estimator: {estimator}, "
-        f"state {sketch.state_size} counters, half-life {half_life:g}s"
+        f"{len(service.live.handovers)} handovers; estimator: decayed "
+        f"counts, state {estimator.state_size} counters, half-life "
+        f"{estimator.half_life:g}s"
     )
     if args.record is not None:
         print(f"stream recorded to {args.record}")

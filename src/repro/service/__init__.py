@@ -1,9 +1,10 @@
 """The live broadcast service (ROADMAP item 1): `repro serve`.
 
-Composes streaming sketch estimation (:mod:`repro.workloads.sketch`),
-warm incremental re-allocation (:mod:`repro.core.incremental`) and a
-cycle-aligned drain/handover protocol into a long-running server over
-a request stream.  See ``docs/serving.md``.
+Composes exact decayed request counts
+(:class:`repro.workloads.estimator.DecayedCounts`), warm incremental
+re-allocation (:mod:`repro.core.incremental`) and a cycle-aligned
+drain/handover protocol into a long-running server over a request
+stream.  See ``docs/serving.md``.
 """
 
 from repro.service.clock import Clock, SystemClock

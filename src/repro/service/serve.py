@@ -3,11 +3,12 @@
 This is ROADMAP item 1 — the long-running server the paper's Figure 1
 implies but never builds.  It composes three existing subsystems:
 
-* **streaming estimation** — a :class:`~repro.workloads.sketch.CountMinSketch`
-  with exponential decay absorbs every request in O(depth) time and
-  O(width × depth) state, so tracking millions of clients costs the
-  same as tracking hundreds;
-* **epoch re-allocation** — at each epoch boundary the sketch's profile
+* **streaming estimation** — exact exponentially decayed counts
+  (:class:`~repro.workloads.estimator.DecayedCounts`) absorb every
+  request in O(1) time with one float per catalogue item; the
+  allocator needs a dense length-N profile at every epoch, so O(N)
+  state is the floor for any estimator feeding it;
+* **epoch re-allocation** — at each epoch boundary the decayed profile
   is re-estimated over the catalogue and routed through the
   :class:`~repro.core.incremental.IncrementalAllocator` (warm-start +
   LRU cache + 1.02× regression guard, PR 4);
@@ -18,13 +19,13 @@ implies but never builds.  It composes three existing subsystems:
   (:class:`LiveProgram`).
 
 Time has two axes here.  *Stream time* (record timestamps) drives
-everything semantically: epochs, sketch decay, handover boundaries.
+everything semantically: epochs, count decay, handover boundaries.
 The injectable :class:`~repro.service.clock.Clock` drives only pacing
 and heartbeat throttling — with the test suite's fake clock the whole
 loop runs wall-clock-free (ISSUE 10 satellite 1).
 
 See ``docs/serving.md`` for the architecture walk-through, the epoch /
-drain protocol, and sketch sizing guidance.
+drain protocol, and the choice of half-life.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from repro.service.clock import Clock, SystemClock
 from repro.simulation.adaptive import RotatingDrift
 from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
-from repro.workloads.estimator import profile_l1_error
-from repro.workloads.sketch import CountMinSketch
+from repro.workloads.estimator import DecayedCounts, profile_l1_error
 from repro.workloads.trace import (
     TraceRecord,
     iter_trace_jsonl,
@@ -299,14 +299,12 @@ class BroadcastService:
     epoch_seconds:
         Epoch length in *stream time*; each boundary re-estimates and
         (when the profile drifted) re-allocates.
-    sketch:
-        The streaming estimator.  Default: a decaying
-        :class:`CountMinSketch` (1024×4, half-life = 2 epochs).  Pass
-        ``CountMinSketch(..., exact=True)`` for the exact-counter
-        oracle mode used by tests and benchmarks.
+    half_life:
+        Decay half-life of the request counts in stream time; default
+        ``2 × epoch_seconds``.  ``math.inf`` counts plain occurrences.
     smoothing:
         Laplace pseudo-count per catalogue item when normalising the
-        sketch profile — keeps never-requested items allocatable (see
+        decayed profile — keeps never-requested items allocatable (see
         the zero-frequency notes in :mod:`repro.workloads.estimator`).
     initial_database:
         Bootstrap profile for the first allocation; default uniform
@@ -333,7 +331,7 @@ class BroadcastService:
         *,
         bandwidth: float = DEFAULT_BANDWIDTH,
         epoch_seconds: float = 60.0,
-        sketch: Optional[CountMinSketch] = None,
+        half_life: Optional[float] = None,
         smoothing: float = 1.0,
         initial_database: Optional[BroadcastDatabase] = None,
         clock: Optional[Clock] = None,
@@ -358,11 +356,9 @@ class BroadcastService:
         self._smoothing = float(smoothing)
         self._clock: Clock = clock if clock is not None else SystemClock()
         self._pace = bool(pace)
-        if sketch is None:
-            sketch = CountMinSketch(
-                1024, 4, half_life=2.0 * self.epoch_seconds
-            )
-        self.sketch = sketch
+        if half_life is None:
+            half_life = 2.0 * self.epoch_seconds
+        self._estimator = DecayedCounts(self._catalogue, half_life=half_life)
         self._engine = IncrementalAllocator(
             self._num_channels,
             regression_guard=regression_guard,
@@ -398,6 +394,16 @@ class BroadcastService:
     @property
     def catalogue(self) -> List[str]:
         return list(self._catalogue)
+
+    @property
+    def estimator(self) -> DecayedCounts:
+        """The decayed request counts the epoch profiles come from."""
+        return self._estimator
+
+    # Read-only alias under the old name: perfbench/pipeline.py passes
+    # ``service.sketch`` to ``layers.wrap_estimator``, which times
+    # ``add`` and ``estimate_profile`` on its class.
+    sketch = estimator
 
     @property
     def believed(self) -> BroadcastDatabase:
@@ -493,7 +499,7 @@ class BroadcastService:
                     self.generation_log.append(
                         (record.timestamp, self.live.generation)
                     )
-                self.sketch.add(record.item_id, timestamp=record.timestamp)
+                self._estimator.add(record.item_id, timestamp=record.timestamp)
                 self._total_requests += 1
                 registry = obs.get_metrics()
                 if registry.enabled:
@@ -519,8 +525,8 @@ class BroadcastService:
 
     # -- epoch boundary --------------------------------------------------
     def profile(self, *, timestamp: Optional[float] = None) -> Dict[str, float]:
-        """The sketch's current smoothed profile over the catalogue."""
-        return self.sketch.estimate_profile(
+        """The current smoothed, decayed profile over the catalogue."""
+        return self._estimator.estimate_profile(
             self._catalogue, smoothing=self._smoothing, timestamp=timestamp
         )
 
@@ -552,7 +558,7 @@ class BroadcastService:
                 cache_hit=self._cache_hit,
                 reallocated=self._reallocated,
                 generation=self.live.generation,
-                estimator_state=self.sketch.state_size,
+                estimator_state=self._estimator.state_size,
                 switch_at=self._pending_switch,
             )
             self.reports.append(report)
@@ -571,8 +577,8 @@ class BroadcastService:
                     report.measured.mean
                 )
                 registry.gauge("serve.generation").set(self.live.generation)
-                registry.gauge("serve.sketch_state").set(
-                    self.sketch.state_size
+                registry.gauge("serve.estimator_state").set(
+                    self._estimator.state_size
                 )
             self._reallocated = False
             self._cache_hit = False

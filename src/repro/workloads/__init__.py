@@ -10,6 +10,7 @@ from repro.workloads.catalog import (
 from repro.workloads.estimator import (
     CountEstimator,
     DecayEstimator,
+    DecayedCounts,
     estimate_database,
     profile_l1_error,
 )
@@ -19,11 +20,6 @@ from repro.workloads.queries import (
     QueryWorkload,
     generate_query_workload,
     item_frequencies_from_queries,
-)
-from repro.workloads.sketch import (
-    CountMinSketch,
-    SketchEstimator,
-    sketch_error_bound,
 )
 from repro.workloads.trace import (
     RequestTrace,
@@ -66,9 +62,7 @@ __all__ = [
     "iter_trace_jsonl",
     "CountEstimator",
     "DecayEstimator",
-    "CountMinSketch",
-    "SketchEstimator",
-    "sketch_error_bound",
+    "DecayedCounts",
     "estimate_database",
     "profile_l1_error",
     "Query",

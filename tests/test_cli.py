@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -111,3 +114,28 @@ class TestSimulateCommand:
         assert "measured waiting time" in output
         assert "analytical waiting time" in output
         assert "relative error" in output
+
+
+class TestServeCommand:
+    ARGS = [
+        "serve",
+        "--items", "30",
+        "--channels", "3",
+        "--epoch-seconds", "5",
+        "--max-epochs", "3",
+        "--requests-per-epoch", "100",
+        "--json",
+    ]
+
+    def test_json_reports_the_default_estimator(self, capsys):
+        assert main(self.ARGS) == 0
+        output = json.loads(capsys.readouterr().out)
+        assert output["estimator"] == {"half_life": 10.0, "state_size": 30}
+        assert output["total_requests"] == 300
+        assert len(output["epochs"]) == 3
+
+    def test_infinite_half_life_counts_plain_occurrences(self, capsys):
+        assert main(self.ARGS + ["--half-life", "inf"]) == 0
+        output = json.loads(capsys.readouterr().out)
+        assert math.isinf(output["estimator"]["half_life"])
+        assert output["estimator"]["state_size"] == 30

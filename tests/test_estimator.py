@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
 from repro.workloads.estimator import (
     CountEstimator,
+    DecayedCounts,
     DecayEstimator,
     estimate_database,
     profile_l1_error,
 )
-from repro.workloads.trace import RequestTrace, synthesize_trace
+from repro.workloads.trace import RequestTrace, TraceRecord, synthesize_trace
 
 
 def make_trace(pairs):
@@ -252,13 +258,110 @@ class TestZeroFrequencyEdgeCases:
 
     def test_sketch_profile_matches_the_same_contract(self):
         """The streaming path makes the identical smoothing trade."""
-        from repro.workloads.sketch import CountMinSketch
-
-        sketch = CountMinSketch(1024, 4)
-        sketch.add("a")
-        sketch.add("a")
-        profile = sketch.estimate_profile(["a", "b"], smoothing=0.0)
+        counts = DecayedCounts(["a", "b"], half_life=math.inf)
+        counts.add("a", timestamp=0.0)
+        counts.add("a", timestamp=1.0)
+        profile = counts.estimate_profile(["a", "b"], smoothing=0.0)
         assert profile["b"] == 0.0  # same zero-frequency hazard
-        floored = sketch.estimate_profile(["a", "b"], smoothing=1.0)
+        floored = counts.estimate_profile(["a", "b"], smoothing=1.0)
         assert floored["b"] > 0.0
         assert sum(floored.values()) == pytest.approx(1.0)
+
+
+@st.composite
+def zipf_streams(draw):
+    """A seeded Zipf-ish request stream over a small catalogue."""
+    num_items = draw(st.integers(min_value=2, max_value=40))
+    num_requests = draw(st.integers(min_value=1, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    theta = draw(st.floats(min_value=0.0, max_value=1.5))
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, num_items + 1) ** theta
+    weights /= weights.sum()
+    ids = [f"d{i}" for i in range(num_items)]
+    picks = rng.choice(num_items, size=num_requests, p=weights)
+    times = np.cumsum(rng.exponential(1.0, size=num_requests))
+    records = [
+        TraceRecord(timestamp=float(t), item_id=ids[int(pick)])
+        for t, pick in zip(times, picks)
+    ]
+    return ids, records
+
+
+class TestDecayedCounts:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(zipf_streams(), st.floats(min_value=0.5, max_value=50.0))
+    def test_profile_matches_decay_estimator(self, stream, half_life):
+        """Streamed counts == DecayEstimator over the same stream."""
+        ids, records = stream
+        counts = DecayedCounts(ids, half_life=half_life)
+        for record in records:
+            counts.add(record.item_id, timestamp=record.timestamp)
+        streamed = counts.estimate_profile(ids, smoothing=1.0)
+        batch = DecayEstimator(half_life=half_life, smoothing=1.0).estimate(
+            RequestTrace(records), ids
+        )
+        for item_id in ids:
+            assert streamed[item_id] == pytest.approx(batch[item_id], abs=1e-9)
+
+    def test_infinite_half_life_counts_plain_occurrences(self):
+        trace = make_trace([(0, "a"), (5, "a"), (900, "b")])
+        counts = DecayedCounts(["a", "b", "c"], half_life=math.inf)
+        for record in trace:
+            counts.add(record.item_id, timestamp=record.timestamp)
+        assert counts.estimate_profile(["a", "b", "c"]) == (
+            CountEstimator().estimate(trace, ["a", "b", "c"])
+        )
+
+    def test_rescale_keeps_profile_finite_and_normalised(self):
+        """Inflation past 2**512 rescales instead of overflowing.
+
+        The stream spans 15 000 half-lives; without the rescale the
+        inflated weight ``2.0 ** 15000`` would raise OverflowError.
+        """
+        counts = DecayedCounts(["hot", "cold"], half_life=0.01)
+        for k in range(3000):
+            counts.add("hot" if k % 3 else "cold", timestamp=k * 0.05)
+        profile = counts.estimate_profile(["hot", "cold"], smoothing=0.0)
+        assert all(math.isfinite(value) for value in profile.values())
+        assert profile["hot"] + profile["cold"] == pytest.approx(1.0)
+        # Each step is 5 half-lives, so the two newest "hot" arrivals
+        # weigh 1 and 2**-5 and the newest "cold" one 2**-10; every
+        # period of three repeats that pattern scaled by 2**-15.
+        assert profile["hot"] == pytest.approx(1056 / 1057, rel=1e-12)
+
+    @pytest.mark.parametrize("half_life", [0.0, -1.0, float("nan")])
+    def test_bad_half_life_rejected(self, half_life):
+        with pytest.raises(SimulationError, match="half_life"):
+            DecayedCounts(["a"], half_life=half_life)
+
+    def test_out_of_order_arrivals_rejected(self):
+        counts = DecayedCounts(["a", "b"], half_life=1.0)
+        counts.add("a", timestamp=5.0)
+        with pytest.raises(SimulationError, match="out-of-order"):
+            counts.add("b", timestamp=4.0)
+
+    @pytest.mark.parametrize(
+        "item_id, timestamp, message",
+        [
+            ("a", float("nan"), "finite"),
+            ("a", float("inf"), "finite"),
+            ("zz", 1.0, "outside the catalogue"),
+            ("", 1.0, "outside the catalogue"),
+        ],
+        ids=["nan-timestamp", "inf-timestamp", "unknown-id", "empty-id"],
+    )
+    def test_bad_timestamp_and_id_rejected(self, item_id, timestamp, message):
+        counts = DecayedCounts(["a"], half_life=1.0)
+        with pytest.raises(SimulationError, match=message):
+            counts.add(item_id, timestamp=timestamp)
+
+    def test_empty_counts_zero_smoothing_rejected(self):
+        counts = DecayedCounts(["a"], half_life=1.0)
+        with pytest.raises(SimulationError, match="smoothing"):
+            counts.estimate_profile(["a"], smoothing=0.0)

@@ -17,12 +17,12 @@ The three headline assertions (satellite 3):
 from __future__ import annotations
 
 import json
+import math
 import threading
 
 import pytest
 
 from repro import obs
-from repro.core.cost import cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import AllocationCache, IncrementalAllocator
 from repro.core.item import DataItem
@@ -36,7 +36,6 @@ from repro.service import (
 )
 from repro.workloads.estimator import profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
-from repro.workloads.sketch import CountMinSketch
 from repro.workloads.trace import RequestTrace, TraceRecord, save_trace_jsonl
 
 from .fakeclock import FakeClock, forbid_real_sleep
@@ -81,25 +80,26 @@ def make_stream(db, *, epochs, requests_per_epoch=250, seed=5):
     )
 
 
-def make_service(sizes, db, *, sketch, **kwargs):
+def make_service(sizes, db, **kwargs):
     kwargs.setdefault("epoch_seconds", EPOCH_SECONDS)
     kwargs.setdefault("smoothing", SMOOTHING)
     kwargs.setdefault("initial_database", db)
     kwargs.setdefault("clock", FakeClock())
-    return BroadcastService(sizes, CHANNELS, sketch=sketch, **kwargs)
+    return BroadcastService(sizes, CHANNELS, **kwargs)
 
 
 def offline_oracle(db, sizes, records, *, epochs):
-    """The exact-counter offline adaptive loop on the same epoch batches.
+    """The offline adaptive loop on the same epoch batches.
 
-    Replicates the service's boundary policy — exact decayed counts,
-    smoothed profile over the catalogue, zero-drift reuse, otherwise a
-    warm ``IncrementalAllocator`` re-allocation — without any serving,
-    handover or clock machinery.  Returns per-epoch
-    ``(engine_cost, mode, warm_moves, allocation)`` tuples.
+    Replicates the service's boundary policy — decayed counts, smoothed
+    profile over the catalogue, zero-drift reuse, otherwise a warm
+    ``IncrementalAllocator`` re-allocation — without any serving,
+    handover or clock machinery.  The decayed counts are a direct sum
+    of ``0.5 ** ((end - t) / half_life)`` over the requests seen so
+    far, independent of the service's streaming counter.  Returns
+    per-epoch ``(engine_cost, mode, warm_moves, allocation)`` tuples.
     """
     catalogue = list(sizes)
-    counter = CountMinSketch(1, 1, half_life=HALF_LIFE, exact=True)
     engine = IncrementalAllocator(CHANNELS, cache=AllocationCache())
     result = engine.reallocate(db)
     allocation, cost = result.allocation, result.cost
@@ -113,14 +113,20 @@ def offline_oracle(db, sizes, records, *, epochs):
         epoch_records[min(epochs - 1, int((record.timestamp - start) // EPOCH_SECONDS))].append(record)
     for epoch in range(epochs):
         rows.append((cost, mode, warm_moves, allocation))
-        for record in epoch_records[epoch]:
-            counter.add(record.item_id, timestamp=record.timestamp)
         if epoch + 1 >= epochs:
             break
         end = boundary + epoch * EPOCH_SECONDS
-        estimated = counter.estimate_profile(
-            catalogue, smoothing=SMOOTHING, timestamp=end
-        )
+        counts = dict.fromkeys(catalogue, 0.0)
+        for batch in epoch_records[: epoch + 1]:
+            for record in batch:
+                counts[record.item_id] += 0.5 ** (
+                    (end - record.timestamp) / HALF_LIFE
+                )
+        total = math.fsum(counts.values()) + SMOOTHING * len(catalogue)
+        estimated = {
+            item_id: (count + SMOOTHING) / total
+            for item_id, count in counts.items()
+        }
         if profile_l1_error(believed, estimated) == 0.0:
             mode, warm_moves = "reused", 0
             continue
@@ -139,14 +145,10 @@ def offline_oracle(db, sizes, records, *, epochs):
 
 class TestOracleParity:
     def test_exact_mode_epoch_costs_match_offline_oracle(self, db, sizes):
-        """Exact-counter service == offline adaptive oracle, per epoch."""
+        """The default service == offline adaptive oracle, per epoch."""
         epochs = 8
         records = make_stream(db, epochs=epochs)
-        service = make_service(
-            sizes,
-            db,
-            sketch=CountMinSketch(1, 1, half_life=HALF_LIFE, exact=True),
-        )
+        service = make_service(sizes, db)
         reports = service.run(iter(records), max_epochs=epochs)
         oracle = offline_oracle(db, sizes, records, epochs=epochs)
         assert len(reports) == epochs
@@ -154,48 +156,15 @@ class TestOracleParity:
             assert report.engine_cost == pytest.approx(cost, rel=1e-12)
             assert report.allocation_mode == mode
             assert report.warm_moves == warm_moves
-
-    def test_sketch_mode_final_epoch_within_regression_guard(self, db, sizes):
-        """Acceptance: >= 20 sketch-estimated epochs, final-epoch cost
-        within the 1.02x guard of the exact-counter offline oracle."""
-        epochs = 22
-        records = make_stream(db, epochs=epochs, requests_per_epoch=200)
-        service = make_service(
-            sizes,
-            db,
-            sketch=CountMinSketch(512, 4, half_life=HALF_LIFE),
-        )
-        reports = service.run(iter(records), max_epochs=epochs)
-        assert len(reports) == epochs
-        oracle = offline_oracle(db, sizes, records, epochs=epochs)
-        _, _, _, oracle_allocation = oracle[-1]
-        # Judge both final allocations under the oracle's exact belief.
-        exact = CountMinSketch(1, 1, half_life=HALF_LIFE, exact=True)
-        for record in records:
-            exact.add(record.item_id, timestamp=record.timestamp)
-        truth = exact.estimate_profile(list(sizes), smoothing=SMOOTHING)
-        ids, frequencies = list(truth), list(truth.values())
-        sketch_cost = cost_under_profile(
-            service.live.allocation, ids, frequencies
-        )
-        oracle_cost = cost_under_profile(oracle_allocation, ids, frequencies)
-        assert sketch_cost <= 1.02 * oracle_cost
-        # The stream kept the estimator tiny: O(width x depth), not
-        # O(requests) — the point of the sketch path.
-        assert service.sketch.state_size == 512 * 4
-        assert service.total_requests == len(records)
+        # One decayed count per catalogue item.
+        assert all(report.estimator_state == len(sizes) for report in reports)
 
 
 class TestHandoverNeverTears:
     def test_swaps_only_at_cycle_boundaries(self, db, sizes):
         epochs = 12
         records = make_stream(db, epochs=epochs)
-        service = make_service(
-            sizes,
-            db,
-            sketch=CountMinSketch(256, 4, half_life=HALF_LIFE),
-            record_generations=True,
-        )
+        service = make_service(sizes, db, record_generations=True)
         service.run(iter(records), max_epochs=epochs)
         handovers = service.live.handovers
         assert handovers, "drifting stream should trigger handovers"
@@ -254,11 +223,7 @@ class TestCountersMatchReports:
         obs.configure(metrics=True)
         epochs = 10
         records = make_stream(db, epochs=epochs)
-        service = make_service(
-            sizes,
-            db,
-            sketch=CountMinSketch(256, 4, half_life=HALF_LIFE),
-        )
+        service = make_service(sizes, db)
         reports = service.run(iter(records), max_epochs=epochs)
         counters = obs.get_metrics().snapshot()["counters"]
         assert counters["serve.requests"] == len(records)
@@ -305,7 +270,7 @@ class TestCountersMatchReports:
             small_sizes,
             2,
             epoch_seconds=EPOCH_SECONDS,
-            sketch=CountMinSketch(256, 4),  # no decay
+            half_life=math.inf,
             smoothing=0.0,
             clock=FakeClock(),
         )
@@ -332,13 +297,7 @@ class TestFakeClockHarness:
     def test_paced_replay_advances_only_the_fake_clock(self, db, sizes):
         clock = FakeClock()
         records = make_stream(db, epochs=3, requests_per_epoch=50)
-        service = make_service(
-            sizes,
-            db,
-            sketch=CountMinSketch(128, 4, half_life=HALF_LIFE),
-            clock=clock,
-            pace=True,
-        )
+        service = make_service(sizes, db, clock=clock, pace=True)
         service.run(iter(records), max_epochs=3)
         # Pacing slept the fake clock up to the last served record's
         # stream offset; real time never elapsed (forbid_real_sleep).
@@ -351,13 +310,7 @@ class TestFakeClockHarness:
         obs.configure(metrics=True)
         clock = FakeClock()
         records = make_stream(db, epochs=3, requests_per_epoch=50)
-        service = make_service(
-            sizes,
-            db,
-            sketch=CountMinSketch(128, 4, half_life=HALF_LIFE),
-            clock=clock,
-            pace=True,
-        )
+        service = make_service(sizes, db, clock=clock, pace=True)
         service.run(iter(records), max_epochs=3)
         snapshot = obs.get_metrics().snapshot()
         assert snapshot["gauges"]["serve.heartbeat.requests"] == (
@@ -403,11 +356,7 @@ class TestSourcesAndValidation:
         path = save_trace_jsonl(trace, tmp_path / "stream.jsonl")
 
         def run(source):
-            service = make_service(
-                sizes,
-                db,
-                sketch=CountMinSketch(256, 4, half_life=HALF_LIFE),
-            )
+            service = make_service(sizes, db)
             return service.run(source, max_epochs=epochs)
 
         direct = run(iter(records))
@@ -458,9 +407,7 @@ class TestSourcesAndValidation:
         assert message in str(info.value)
 
     def test_out_of_order_stream_rejected(self, db, sizes):
-        service = make_service(
-            sizes, db, sketch=CountMinSketch(64, 2, half_life=HALF_LIFE)
-        )
+        service = make_service(sizes, db)
         bad = [
             TraceRecord(timestamp=5.0, item_id=list(sizes)[0]),
             TraceRecord(timestamp=4.0, item_id=list(sizes)[0]),
@@ -471,18 +418,14 @@ class TestSourcesAndValidation:
     def test_partial_final_epoch_is_closed(self, db, sizes):
         records = make_stream(db, epochs=2, requests_per_epoch=60)
         half = records[: len(records) // 2 + 10]
-        service = make_service(
-            sizes, db, sketch=CountMinSketch(64, 2, half_life=HALF_LIFE)
-        )
+        service = make_service(sizes, db)
         reports = service.run(iter(half))
         assert sum(report.requests for report in reports) == len(half)
         assert reports[-1].requests > 0
 
     def test_max_epochs_stops_midstream(self, db, sizes):
         records = make_stream(db, epochs=6)
-        service = make_service(
-            sizes, db, sketch=CountMinSketch(64, 2, half_life=HALF_LIFE)
-        )
+        service = make_service(sizes, db)
         reports = service.run(iter(records), max_epochs=2)
         assert len(reports) == 2
         assert service.total_requests < len(records)
@@ -490,9 +433,7 @@ class TestSourcesAndValidation:
     def test_run_twice_accumulates_history(self, db, sizes):
         records = make_stream(db, epochs=4)
         split = len(records) // 2
-        service = make_service(
-            sizes, db, sketch=CountMinSketch(64, 2, half_life=HALF_LIFE)
-        )
+        service = make_service(sizes, db)
         first = service.run(iter(records[:split]))
         second = service.run(iter(records[split:]))
         assert len(service.reports) == len(first) + len(second)
