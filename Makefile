@@ -128,8 +128,9 @@ figures:
 report:
 	$(PYTHON) -m repro report --output report.md
 
+# Run every example script; stops at the first one that fails.
 examples:
-	for f in examples/*.py; do $(PYTHON) $$f; done
+	for f in examples/*.py; do $(PYTHON) $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

@@ -573,9 +573,12 @@ class BroadcastService:
                 registry.gauge("serve.epoch").set(epoch)
                 registry.gauge("serve.allocation_cost").set(cost)
                 registry.gauge("serve.profile_drift").set(self._last_drift)
-                registry.gauge("serve.measured_wait_mean").set(
-                    report.measured.mean
-                )
+                if report.requests:
+                    # An idle epoch's mean is a 0.0 placeholder, not a
+                    # measured wait: keep the last busy epoch's value.
+                    registry.gauge("serve.measured_wait_mean").set(
+                        report.measured.mean
+                    )
                 registry.gauge("serve.generation").set(self.live.generation)
                 registry.gauge("serve.estimator_state").set(
                     self._estimator.state_size

@@ -10,47 +10,14 @@ from repro.simulation.adaptive import (
     RotatingDrift,
     run_adaptive_simulation,
 )
-from repro.simulation.cache import (
-    CachePolicy,
-    CacheReport,
-    ClientCache,
-    LFUPolicy,
-    LRUPolicy,
-    PIXPolicy,
-    simulate_with_cache,
-)
 from repro.simulation.channel import BroadcastChannel
 from repro.simulation.client import Request, RequestGenerator
-from repro.simulation.disks import (
-    MultiScheduleChannel,
-    broadcast_disk_schedule,
-    disks_from_allocation,
-)
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event, EventPriority
 from repro.simulation.indexing import (
     IndexedChannel,
     IndexedTiming,
     optimal_index_replication,
-)
-from repro.simulation.replication import (
-    ReplicatedProgram,
-    replicate_hot_items,
-    simulate_replicated_program,
-)
-from repro.simulation.queries import (
-    QueryRetrieval,
-    retrieve_query,
-    simulate_query_workload,
-)
-from repro.simulation.ondemand import (
-    FCFSPolicy,
-    MRFPolicy,
-    OnDemandReport,
-    RxWPolicy,
-    SizeAwareRxWPolicy,
-    compare_push_pull,
-    simulate_on_demand,
 )
 from repro.simulation.metrics import (
     SummaryStatistics,
@@ -85,27 +52,4 @@ __all__ = [
     "IndexedChannel",
     "IndexedTiming",
     "optimal_index_replication",
-    "QueryRetrieval",
-    "retrieve_query",
-    "simulate_query_workload",
-    "ReplicatedProgram",
-    "replicate_hot_items",
-    "simulate_replicated_program",
-    "CachePolicy",
-    "LRUPolicy",
-    "LFUPolicy",
-    "PIXPolicy",
-    "ClientCache",
-    "CacheReport",
-    "simulate_with_cache",
-    "FCFSPolicy",
-    "MRFPolicy",
-    "RxWPolicy",
-    "SizeAwareRxWPolicy",
-    "OnDemandReport",
-    "simulate_on_demand",
-    "compare_push_pull",
-    "MultiScheduleChannel",
-    "broadcast_disk_schedule",
-    "disks_from_allocation",
 ]

@@ -15,12 +15,6 @@ from repro.workloads.estimator import (
     profile_l1_error,
 )
 from repro.workloads.generator import WorkloadSpec, generate_database
-from repro.workloads.queries import (
-    Query,
-    QueryWorkload,
-    generate_query_workload,
-    item_frequencies_from_queries,
-)
 from repro.workloads.trace import (
     RequestTrace,
     TraceRecord,
@@ -65,10 +59,6 @@ __all__ = [
     "DecayedCounts",
     "estimate_database",
     "profile_l1_error",
-    "Query",
-    "QueryWorkload",
-    "generate_query_workload",
-    "item_frequencies_from_queries",
     "ContentClass",
     "MULTIMEDIA_CLASSES",
     "build_catalogue",

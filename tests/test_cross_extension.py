@@ -12,14 +12,11 @@ from repro.core.hetero import HeteroDRPCDSAllocator
 from repro.core.incremental import insert_item, update_frequency
 from repro.core.item import DataItem
 from repro.core.scheduler import DRPCDSAllocator
-from repro.simulation.cache import PIXPolicy, simulate_with_cache
 from repro.simulation.indexing import IndexedChannel
-from repro.simulation.queries import simulate_query_workload
 from repro.simulation.simulator import run_broadcast_simulation
 from repro.workloads.catalog import build_catalogue
 from repro.workloads.estimator import estimate_database
 from repro.workloads.generator import WorkloadSpec, generate_database
-from repro.workloads.queries import generate_query_workload
 from repro.workloads.trace import synthesize_trace
 
 
@@ -59,26 +56,13 @@ class TestEstimatedProfileDownstream:
 
 
 class TestMultimediaCatalogueDownstream:
-    """The content-class catalogue through caching, indexing, queries."""
+    """The content-class catalogue through air indexing."""
 
     @pytest.fixture(scope="class")
     def portal(self):
         database = build_catalogue(seed=9)
         allocation = DRPCDSAllocator().allocate(database, 6).allocation
         return database, allocation
-
-    def test_pix_cache_over_portal(self, portal):
-        database, allocation = portal
-        report = simulate_with_cache(
-            allocation,
-            capacity=500.0,
-            policy=PIXPolicy(),
-            num_requests=4000,
-            bandwidth=100.0,
-            seed=3,
-        )
-        assert report.hit_rate > 0.05
-        assert report.effective.count == 4000
 
     def test_indexing_hot_portal_channel(self, portal):
         database, allocation = portal
@@ -93,20 +77,6 @@ class TestMultimediaCatalogueDownstream:
         )
         timing = channel.expected_timing(items[0].item_id)
         assert 0 < timing.tuning_time <= timing.waiting_time
-
-    def test_query_workload_over_portal(self, portal):
-        database, allocation = portal
-        workload = generate_query_workload(
-            database, 25, min_items=1, max_items=3, seed=4
-        )
-        summary = simulate_query_workload(
-            allocation,
-            workload,
-            num_requests=600,
-            bandwidth=100.0,
-            seed=5,
-        )
-        assert summary.count == 600
 
 
 class TestEditThenMeasure:

@@ -41,6 +41,9 @@ class TestTopLevelExports:
             "repro.experiments",
             "repro.io",
             "repro.cli",
+            "repro.service",
+            "repro.obs",
+            "repro.verify",
         ],
     )
     def test_subpackage_all_names_resolve(self, module):

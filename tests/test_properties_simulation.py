@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the simulation substrates.
 
-Invariants of channel timing, Broadcast-Disks scheduling, the on-demand
-server and query retrieval, for arbitrary valid inputs.
+Invariants of channel timing for arbitrary valid inputs.
 """
 
 from __future__ import annotations
@@ -12,18 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
 from repro.simulation.channel import BroadcastChannel
-from repro.simulation.disks import (
-    MultiScheduleChannel,
-    broadcast_disk_schedule,
-)
-from repro.simulation.ondemand import (
-    MRFPolicy,
-    RxWPolicy,
-    simulate_on_demand,
-)
 
 _positive = st.floats(
     min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False
@@ -90,84 +79,3 @@ class TestChannelProperties:
         )
         assert direct == pytest.approx(weighted, rel=1e-9)
 
-
-class TestDiskProperties:
-    @common
-    @given(
-        item_lists(min_items=2, max_items=8),
-        st.integers(min_value=1, max_value=4),
-    )
-    def test_schedule_preserves_items_and_frequencies(self, items, hot_freq):
-        middle = max(1, len(items) // 2)
-        disks = [items[:middle], items[middle:]]
-        if not disks[1]:
-            disks = [items[:1], items[1:]] if len(items) > 1 else [items]
-        frequencies = [hot_freq, 1][: len(disks)]
-        schedule = broadcast_disk_schedule(disks, frequencies)
-        channel = MultiScheduleChannel(0, schedule, 10.0)
-        for disk, frequency in zip(disks, frequencies):
-            for item in disk:
-                assert channel.appearances(item.item_id) == frequency
-
-    @common
-    @given(item_lists(min_items=2, max_items=8))
-    def test_gap_formula_matches_sampling(self, items):
-        # Repeat the first item twice, arbitrary positions.
-        schedule = [items[0]] + items[1:] + [items[0]]
-        channel = MultiScheduleChannel(0, schedule, 10.0)
-        expected = channel.expected_waiting_time(items[0].item_id)
-        steps = 4000
-        sampled = (
-            sum(
-                channel.waiting_time(
-                    items[0].item_id,
-                    (k + 0.5) * channel.cycle_length / steps,
-                )
-                for k in range(steps)
-            )
-            / steps
-        )
-        assert sampled == pytest.approx(expected, rel=5e-3)
-
-
-class TestOnDemandProperties:
-    @common
-    @given(
-        item_lists(min_items=2, max_items=6),
-        st.floats(min_value=0.1, max_value=20.0),
-        st.integers(min_value=0, max_value=3),
-    )
-    def test_conservation_and_bounds(self, items, rate, seed):
-        database = BroadcastDatabase(items)
-        report = simulate_on_demand(
-            database,
-            policy=RxWPolicy(),
-            num_requests=120,
-            arrival_rate=rate,
-            seed=seed,
-        )
-        # Every request served exactly once.
-        assert report.waiting.count == 120
-        # Waits at least the item's own transmission time.
-        min_transmission = min(i.size for i in items) / 10.0
-        assert report.waiting.minimum >= min_transmission - 1e-9
-        # Stretch >= 1 by definition.
-        assert report.stretch.minimum >= 1.0 - 1e-9
-        # Broadcast count never exceeds request count.
-        assert 1 <= report.broadcasts <= 120
-
-    @common
-    @given(item_lists(min_items=2, max_items=6), st.integers(0, 3))
-    def test_policies_serve_identical_request_sets(self, items, seed):
-        database = BroadcastDatabase(items)
-        reports = [
-            simulate_on_demand(
-                database,
-                policy=policy,
-                num_requests=80,
-                arrival_rate=5.0,
-                seed=seed,
-            )
-            for policy in (RxWPolicy(), MRFPolicy())
-        ]
-        assert reports[0].waiting.count == reports[1].waiting.count == 80

@@ -292,6 +292,54 @@ class TestCountersMatchReports:
         assert counters["serve.cache_hits"] == 2
         assert counters["incremental.cache_hits"] >= 2
 
+    def test_idle_gap_keeps_generation_and_wait_gauge(self, sizes):
+        """Three busy epochs, then no requests for two whole epochs.
+
+        The busy epochs repeat one batch, so from the second boundary on
+        the service reuses its program and no re-allocation is pending
+        into the gap.  The idle epochs are reported as such, leave the
+        program generation alone, and must not zero the measured-wait
+        gauge.
+        """
+        catalogue = list(sizes)[:6]
+        small_sizes = {item_id: sizes[item_id] for item_id in catalogue}
+        batch = [
+            item_id
+            for i, item_id in enumerate(catalogue)
+            for _ in range(i + 1)
+        ]
+        records = [
+            TraceRecord(
+                timestamp=epoch * EPOCH_SECONDS
+                + (k + 1) * EPOCH_SECONDS / (len(batch) + 1),
+                item_id=item_id,
+            )
+            for epoch in (0, 1, 2, 5)
+            for k, item_id in enumerate(batch)
+        ]
+        obs.configure(metrics=True)
+        service = BroadcastService(
+            small_sizes,
+            2,
+            epoch_seconds=EPOCH_SECONDS,
+            half_life=math.inf,
+            smoothing=0.0,
+            clock=FakeClock(),
+        )
+        reports = service.run(iter(records), max_epochs=5)
+        busy, idle = reports[:3], reports[3:]
+        assert [report.requests for report in busy] == [len(batch)] * 3
+        assert busy[2].allocation_mode == "reused"
+        assert len(idle) == 2
+        for report in idle:
+            assert report.requests == 0
+            assert report.allocation_mode == "idle"
+            assert report.reallocated is False
+            assert report.generation == busy[2].generation
+        gauges = obs.get_metrics().snapshot()["gauges"]
+        assert busy[2].measured.mean > 0.0
+        assert gauges["serve.measured_wait_mean"] == busy[2].measured.mean
+
 
 class TestFakeClockHarness:
     def test_paced_replay_advances_only_the_fake_clock(self, db, sizes):
