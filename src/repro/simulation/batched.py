@@ -8,7 +8,8 @@ time is a closed-form function of its tune-in instant and the carrying
 channel's precomputed cycle geometry, so the whole stream can be
 evaluated as a handful of numpy gathers instead of ``2·n`` heap events.
 
-The vectorized arithmetic mirrors
+The vectorized arithmetic
+(:meth:`~repro.simulation.server.BroadcastProgram.waiting_times`) mirrors
 :meth:`~repro.simulation.channel.BroadcastChannel.next_transmission_start`
 operation for operation (same division, same ceil, same round-down
 guard, same association order when adding the download time), and the
@@ -27,7 +28,7 @@ the same ``"python" | "numpy" | "auto"`` convention as
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,43 +43,6 @@ from repro.simulation.server import BroadcastProgram
 __all__ = ["batched_waiting_times", "run_batched_simulation"]
 
 
-def _program_geometry(
-    program: BroadcastProgram, item_ids: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-item (cycle, slot offset, download time), in ``item_ids`` order.
-
-    Computed straight off the allocation's index groups and the
-    database's size array — no per-item objects, no per-item method
-    calls.  ``np.cumsum`` over the per-slot durations is the channel's
-    sequential ``elapsed += size / bandwidth`` accumulation, so every
-    offset and cycle length is bit-for-bit the value
-    :class:`~repro.simulation.channel.BroadcastChannel` holds.
-    """
-    allocation = program.allocation
-    database = allocation.database
-    sizes = database.sizes
-    n = len(database)
-    cycles = np.empty(n, dtype=np.float64)
-    offsets = np.empty(n, dtype=np.float64)
-    downloads = np.empty(n, dtype=np.float64)
-    for channel, group in zip(
-        program.channels, allocation.channel_index_groups
-    ):
-        slots = sizes[group] / channel.bandwidth
-        starts = np.empty(len(slots) + 1, dtype=np.float64)
-        starts[0] = 0.0
-        np.cumsum(slots, out=starts[1:])
-        cycles[group] = starts[-1]
-        offsets[group] = starts[:-1]
-        downloads[group] = slots
-    order = np.fromiter(
-        (database.index_of(item_id) for item_id in item_ids),
-        dtype=np.intp,
-        count=len(item_ids),
-    )
-    return cycles[order], offsets[order], downloads[order]
-
-
 def batched_waiting_times(
     program: BroadcastProgram,
     item_ids: Sequence[str],
@@ -89,24 +53,16 @@ def batched_waiting_times(
 
     ``arrivals``/``picks`` are the arrays of
     :meth:`RequestGenerator.sample_batch`; ``item_ids`` maps pick
-    indices to items.  Replicates the channel timing model exactly: a
-    request tuning in at ``t`` waits for the start of the next *full*
-    transmission of its item (slot starts at ``offset + n·cycle``) and
-    then downloads it completely.
+    indices to items.  The timing model is
+    :meth:`BroadcastProgram.waiting_times`.
     """
-    cycles, offsets, downloads = _program_geometry(program, item_ids)
-    t = np.asarray(arrivals, dtype=np.float64)
-    cycle = cycles[picks]
-    offset = offsets[picks]
-    # Same float ops as next_transmission_start: ceil of the elapsed
-    # cycle fraction, then the round-down guard for the case where
-    # float error lands the computed start just before the tune-in.
-    elapsed_cycles = np.ceil((t - offset) / cycle)
-    start = offset + elapsed_cycles * cycle
-    start = np.where(t <= offset, offset, start)
-    start = np.where(start < t, start + cycle, start)
-    completion = start + downloads[picks]
-    return completion - t
+    database = program.allocation.database
+    rows = np.fromiter(
+        (database.index_of(item_id) for item_id in item_ids),
+        dtype=np.intp,
+        count=len(item_ids),
+    )
+    return program.waiting_times(rows[picks], arrivals)
 
 
 def run_batched_simulation(

@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import json
+from itertools import chain
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.workloads.trace import RequestTrace, TraceRecord, synthesize_trace
+from repro.workloads.trace import (
+    RequestTrace,
+    TraceRecord,
+    _decode_block,
+    _record_blocks,
+    iter_trace_jsonl,
+    parse_trace_lines,
+    synthesize_trace,
+)
 
 
 class TestTraceRecord:
@@ -119,3 +132,160 @@ class TestSynthesizeTrace:
     def test_negative_requests(self, tiny_db):
         with pytest.raises(SimulationError):
             synthesize_trace(tiny_db, -1)
+
+
+def _outcome(records):
+    """Records read before the reader stopped, and its error text."""
+    read = []
+    try:
+        for record in records:
+            read.append(record)
+    except SimulationError as exc:
+        return read, str(exc)
+    return read, None
+
+
+def _blocked(lines, cuts):
+    """The block reader over ``lines`` cut into blocks before ``cuts``."""
+    edges = [0, *sorted(set(cuts)), len(lines)]
+    blocks = [lines[lo:hi] for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    return chain.from_iterable(_record_blocks(blocks, "src"))
+
+
+#: Bad values of ``t``: each must reach the line parser's error.
+BAD_TIMESTAMPS = ["NaN", "Infinity", "-Infinity", "-1", "1" + "0" * 400, "true", '"5"']
+
+
+@st.composite
+def mutated_traces(draw):
+    """A valid JSONL trace, mutated, and where to cut it into blocks.
+
+    Mutations: a string or a container merged across two lines, a line
+    holding two rows, a bad ``t``, a numeric id, an extra key, a blank
+    line, a CRLF line end, or a timestamp going back on a block edge.
+    """
+    count = draw(st.integers(min_value=2, max_value=24))
+    steps = draw(
+        st.lists(
+            st.one_of(st.integers(0, 3), st.floats(0.0, 5.0)),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    ids = draw(
+        st.lists(
+            st.sampled_from(["a", "b", "d7", "caf\u00e9", 'q"x']),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    stamps, clock = [], 0
+    for step in steps:
+        clock += step
+        stamps.append(clock)
+    compact = draw(st.booleans())
+    separators = (",", ":") if compact else (", ", ": ")
+    lines = [
+        json.dumps({"t": t, "id": item_id}, separators=separators)
+        for t, item_id in zip(stamps, ids)
+    ]
+    cuts = draw(st.lists(st.integers(1, count), max_size=6))
+    kinds = [
+        "string-merge",
+        "container-merge",
+        "two-rows",
+        "bad-t",
+        "numeric-id",
+        "extra-key",
+        "blank",
+        "crlf",
+        "out-of-order",
+    ]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        at = draw(st.integers(0, len(lines) - 1))
+        t = json.dumps(stamps[min(at, len(stamps) - 1)])
+        if kind == "string-merge":
+            lines[at : at + 1] = ['{"t":%s,"id":"a}' % t, '{"}']
+        elif kind == "container-merge":
+            lines[at : at + 1] = ['{"t":%s,"id":"a","x":[{}' % t, "{}]}"]
+        elif kind == "two-rows":
+            lines[at] = '{"t":%s,"id":"a"},{"t":%s,"id":"b"}' % (t, t)
+        elif kind == "bad-t":
+            bad = draw(st.sampled_from(BAD_TIMESTAMPS))
+            lines[at] = '{"t":%s,"id":"a"}' % bad
+        elif kind == "numeric-id":
+            lines[at] = '{"t":%s,"id":7}' % t
+        elif kind == "extra-key":
+            lines[at] = '{"t":%s,"id":"a","x":1}' % t
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "crlf":
+            lines[at] += "\r"
+        elif at > 0:  # out-of-order, first line of its block
+            earlier = stamps[min(at, len(stamps)) - 1] - 0.5
+            lines[at] = '{"t":%s,"id":"a"}' % json.dumps(earlier)
+            cuts.append(at)
+    text = [line + "\n" for line in lines]
+    return text, [cut for cut in cuts if cut < len(text)]
+
+
+class TestBlockDecoder:
+    """Block decoding reads exactly what the line-by-line parser reads."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(mutated_traces())
+    def test_blocks_match_one_line_blocks(self, trace):
+        lines, cuts = trace
+        assert _outcome(_blocked(lines, cuts)) == _outcome(
+            parse_trace_lines(lines, "src")
+        )
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # A container merge compensated by a line holding two rows:
+            # as many rows as lines, but not one row per line.
+            ['{"t":1,"id":"a","x":[{}', "{}]}", '{"t":2,"id":"b"},{"t":3,"id":"c"}'],
+            # A string spanning two lines.
+            ['{"t":1,"id":"a}', '{"}', '{"t":2,"id":"b"}'],
+            # Rows split mid-object, compensated the same way.
+            ['{"t":1', '"id":"a"}', '{"t":2,"id":"b"},{"t":3,"id":"c"}'],
+            ['{"t":1,"id":"a"}', '{"t":0.5,"id":"b"}'],
+            ['{"t":1,"id":"a"}', '{"t":1%s,"id":"b"}' % ("0" * 400)],
+        ],
+        ids=[
+            "container-merge",
+            "string-merge",
+            "split-object",
+            "backwards",
+            "huge-int",
+        ],
+    )
+    def test_adversarial_block_falls_back(self, lines):
+        assert _decode_block(lines, None) is None
+        assert _outcome(_blocked(lines, [])) == _outcome(
+            parse_trace_lines(lines, "src")
+        )
+
+    def test_clean_block_is_decoded_whole(self):
+        lines = ['{"t":0,"id":"a"}\n', "\n", '{"t":2.5, "id":"b"}\r\n']
+        records = _decode_block(lines, None)
+        assert records == [TraceRecord(0.0, "a"), TraceRecord(2.5, "b")]
+        assert type(records[0].timestamp) is float
+        assert _decode_block(lines, 1.0) is None  # before the last block
+
+    def test_file_reader_reports_the_line_after_earlier_blocks(self, tmp_path):
+        count = 3000  # several 16 KiB blocks
+        lines = ['{"t":%d,"id":"item-%d"}' % (k, k) for k in range(count)]
+        lines[2500] = '{"t":-1,"id":"a"}'
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records, error = _outcome(iter_trace_jsonl(path))
+        assert len(records) == 2500
+        assert records[-1] == TraceRecord(2499.0, "item-2499")
+        assert error.startswith(f"{path}:2501: bad record")
