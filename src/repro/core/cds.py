@@ -11,11 +11,14 @@ formulation (each of the N items against each of the K−1 other groups,
 with the scan repeated per origin group); this implementation visits each
 (item, destination) pair exactly once per iteration, i.e. ``O(K·N)``
 evaluations, each O(1) thanks to maintained ``(F_i, Z_i)`` aggregates.
-The full scan runs them as six ``K × N`` array operations over
-scan-ordered item rows (:class:`~repro.core.kernels.CDSFullScan`), and
-executing a move is one ``O(N)`` slice shift of those rows instead of
-a rebuild of the scan order; ``scan="incremental"`` drops the per-move
-evaluations to ``O(N + K²)``.
+The full scan (:class:`~repro.core.kernels.CDSFullScan`) gets them
+from one BLAS product over scan-ordered item rows, a ``(K × 3)·(3 ×
+N)`` matmul, and re-scores the few cells within a rounding margin of
+its optimum in Eq. (4)'s own operation order, so it picks the
+reference's move bit for bit.  Executing a move is one ``O(N)`` slice
+shift of those rows instead of a rebuild of the scan order;
+``scan="incremental"`` drops the per-move evaluations to ``O(N +
+K²)``.
 
 A useful consequence of Eq. (4): moving the *last* item out of a group is
 never selected, because with ``F_p = f_x`` and ``Z_p = z_x`` the delta
@@ -164,8 +167,9 @@ def cds_refine(
         distinct groupings is finite.
     scan:
         ``"full"`` — re-scan every ``N·(K−1)`` (item, destination)
-        pair per iteration as one destination-major Δc matrix (the
-        paper's loop); ``"incremental"`` — maintain the dirty-pair
+        pair per iteration as one BLAS product with exact re-scoring
+        of the near-optimal cells (the paper's loop);
+        ``"incremental"`` — maintain the dirty-pair
         :class:`~repro.core.kernels.CDSPairIndex` so a move only
         re-evaluates the ~``O(N + K²)`` pairs it dirtied; ``"auto"``
         (default) — switch to incremental past
@@ -269,9 +273,9 @@ def _cds_refine_full(
     """The full-rescan loop of :func:`cds_refine`.
 
     The working state is a :class:`~repro.core.kernels.CDSBlockState`:
-    item features, origin aggregates and catalogue indices as arrays in
-    channel-block (scan) order, plus the per-channel ``(F_i, Z_i)``
-    aggregates.  Every iteration runs one
+    item features, the full scan's per-item ``c`` row, origin aggregates
+    and catalogue indices as arrays in channel-block (scan) order, plus
+    the per-channel ``(F_i, Z_i)`` aggregates.  Every iteration runs one
     :class:`~repro.core.kernels.CDSFullScan` over it and executes the
     winner with :meth:`~repro.core.kernels.CDSBlockState.move` — the
     reference's pop-at-position / append-at-end as one slice shift — so

@@ -1,10 +1,12 @@
 """Vectorized hot-path kernels backing the core algorithms.
 
 CDS's per-(item, destination) Δc scan and Procedure ``Partition``'s
-split scan run here as numpy array expressions.  Every kernel applies
-the identical sequence of elementwise operations a scalar loop over the
-same data would, so the floats are IEEE-754-identical to the scalar
-reference implementations kept in :mod:`repro.verify.reference`.
+split scan run here as numpy array expressions.  Every value a kernel
+selects or reports is IEEE-754-identical to the scalar reference
+implementations kept in :mod:`repro.verify.reference`: the elementwise
+kernels apply the scalar loop's operation sequence, and the CDS full
+scan, which ranks cells by a re-associated BLAS product, re-scores its
+near-optimal cells in that sequence before choosing.
 
 Production path
 ---------------
@@ -19,25 +21,31 @@ these kernels to them bit for bit.  The one remaining choice is CDS's
 
 CDS keeps its item state in :class:`CDSBlockState`: feature, aggregate
 and index rows in channel-block (scan) order, so a move is one slice
-shift.  Both scan modes evaluate Eq. (4) through the one expression in
-:func:`cds_delta_into`, destination-major (``K × items``, the long axis
-innermost) into buffers bounded by :data:`CDS_DELTA_CHUNK_ELEMENTS`.
+shift.  The full scan (:class:`CDSFullScan`) forms the approximate Δc
+of every (destination, rank) cell as one ``(K × 3)·(3 × items)``
+matmul; the dirty-pair index (:class:`CDSPairIndex`) evaluates Eq. (4)
+exactly through :func:`cds_delta_into`.  Both are destination-major
+(``K × items``, the long axis innermost) into buffers bounded by
+:data:`CDS_DELTA_CHUNK_ELEMENTS`.
 
 Tie-break contract
 ------------------
 All kernels preserve the scalar code's "first maximum / first minimum
 wins" determinism.  The split scan's ``np.argmin`` returns the first
 minimum, exactly what the scalar strict ``<`` loop selects.  The CDS
-scans select in two stages: the leftmost argmax per destination (per
+scans select in two stages: the best exact Δc per destination (per
 (origin, destination) cell in the index), then, among the
 destinations tying for the maximum, the minimum rank and then the
 minimum destination — the scalar loop's first strict ``>`` maximum in
-(origin, position, destination) order.  Blocks and chunks merge left
-to right under strict ``>``, so the leftmost tie survives any budget.
+(origin, position, destination) order.  The full scan reaches it by
+re-scoring every cell within a rounding margin of its approximate
+optimum; the index's blocks and chunks merge left to right under
+strict ``>``, so the leftmost tie survives any budget.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -67,18 +75,22 @@ SCAN_MODES = ("auto", "full", "incremental")
 #: (``N·(K−1)``).  Below it the index's per-block bookkeeping costs
 #: more than the rescans it saves; above it every executed move drops
 #: from O(N·K) to O(N + K²) evaluations.  Measured as µs per move over
-#: 200 moves from a contiguous seed (2-core Xeon, numpy 2.4, CPython
-#: 3.11), full vs incremental: N=5000/K=8 (35k) 100 vs 220;
-#: N=1000/K=128 (127k) 654 vs 833; N=40000/K=4 (120k) 806 vs 872;
-#: N=2000/K=64 (126k) 586 vs 443; N=20000/K=8 (140k) 570 vs 466;
-#: N=10000/K=16 (150k) 548 vs 430; N=100000/K=8 (700k) 3496 vs 1941.
-#: There is no single parity point in N·(K−1): between 120k and 127k
-#: evaluations the faster mode depends on K as well (the full scan wins
-#: at K=4 and K=128, the incremental scan at K=64), so 2¹⁷ sits at the
-#: edge of that band.  No perfbench workload reaches it; the
-#: incremental side is exercised by the tests, the oracles and the
-#: large-N smoke, not end to end.
-CDS_INCREMENTAL_SCAN_CROSSOVER = 1 << 17
+#: 200 moves from a contiguous seed, both modes on the same inputs in
+#: one process, best of 3 (2-core Xeon, numpy 2.4 with OpenBLAS,
+#: CPython 3.11), full vs incremental: N=5000/K=8 (35k) 62 vs 247;
+#: N=2000/K=64 (126k) 121 vs 948; N=1000/K=128 (127k) 119 vs 1022;
+#: N=20000/K=8 (140k) 407 vs 840; N=20000/K=32 (620k) 1005 vs 1169;
+#: N=5000/K=128 (635k) 924 vs 1627; N=50000/K=16 (750k) 1604 vs
+#: 1705; N=150000/K=8 (1.05M) 4704 vs 6250; N=40000/K=32 (1.24M) 2252
+#: vs 1762; N=10000/K=128 (1.27M) 1698 vs 1991; N=100000/K=16 (1.5M)
+#: 3964 vs 3962; N=300000/K=8 (2.1M) 8863 vs 10787; N=20000/K=128
+#: (2.5M) 2674 vs 1391; N=50000/K=64 (3.2M) 3728 vs 1909.  The full
+#: scan wins everywhere below 750k evaluations.  Parity falls between
+#: about 0.9M (K=32) and 1.6M (K=128) and past 2.1M at K=8, so 2²⁰
+#: sits inside that band, not on an exact break-even.  No perfbench
+#: workload reaches it; the incremental side is exercised by the
+#: tests, the oracles, the large-N smoke and the N=10⁶/K=128 bench.
+CDS_INCREMENTAL_SCAN_CROSSOVER = 1 << 20
 
 #: Thread cap for the chunked cold Δc scan (numpy releases the GIL in
 #: the blocked elementwise work, so threads scale on real cores and
@@ -156,10 +168,15 @@ class CDSBlockState:
     Column ``r`` of :attr:`rows` is the item at scan rank ``r`` — the
     reference's origin-major, position-minor order — and channel ``c``
     owns ranks ``starts[c]:starts[c + 1]``.  The rows are the item's
-    ``f``, ``z``, ``2fz`` (``(2·f)·z``, the reference's association),
-    its channel's current ``Z`` and ``F`` aggregates, and its catalogue
-    index.  :attr:`agg` stacks the per-channel ``(Z, F)`` aggregates;
-    ``agg_z`` / ``agg_f`` are views of its rows.
+    ``2fz`` (``(2·f)·z``, the reference's association), ``f``, ``z``,
+    ``c = f·Z_o + z·F_o − 2fz`` (its channel's share of the full
+    scan's product, so the negated approximate Δc to ``q`` is ``Z_q·f
+    + F_q·z − c``), its channel's current ``Z`` and ``F`` aggregates,
+    and its catalogue index.  :attr:`agg` stacks the per-channel ``Z``
+    and ``F`` aggregates between two constant ``−1`` rows: column
+    ``o``'s first three entries weight ``c`` over the ``(2fz, f, z)``
+    rows, and the last three rows weight the scan's ``(f, z, c)`` rows.
+    ``agg_z`` / ``agg_f`` are views of its middle rows.
 
     :meth:`move` is the reference's pop-at-position / append-at-end as
     one slice shift of the columns between the item and the end of the
@@ -167,7 +184,7 @@ class CDSBlockState:
     matches the reference move for move.
     """
 
-    F, Z, TWO_FZ, ORIGIN_Z, ORIGIN_F, INDEX = range(6)
+    TWO_FZ, F, Z, C, ORIGIN_Z, ORIGIN_F, INDEX = range(7)
 
     def __init__(self, freq, size, groups, agg_f, agg_z) -> None:
         lengths = [len(group) for group in groups]
@@ -178,15 +195,23 @@ class CDSBlockState:
         self.starts = [0]
         for length in lengths:
             self.starts.append(self.starts[-1] + length)
-        self.agg = np.array([agg_z, agg_f], dtype=np.float64)
-        self.agg_z, self.agg_f = self.agg
+        minus_one = [-1.0] * self.num_channels
+        self.agg = np.array(
+            [minus_one, agg_z, agg_f, minus_one], dtype=np.float64
+        )
+        self.agg_z, self.agg_f = self.agg[1:3]
         owner = np.repeat(np.arange(self.num_channels), lengths)
-        rows = np.empty((6, len(order)), dtype=np.float64)
+        rows = np.empty((7, len(order)), dtype=np.float64)
         rows[self.F] = freq[order]
         rows[self.Z] = size[order]
         rows[self.TWO_FZ] = 2.0 * rows[self.F] * rows[self.Z]
         rows[self.ORIGIN_Z] = self.agg_z[owner]
         rows[self.ORIGIN_F] = self.agg_f[owner]
+        rows[self.C] = (
+            rows[self.F] * rows[self.ORIGIN_Z]
+            + rows[self.Z] * rows[self.ORIGIN_F]
+            - rows[self.TWO_FZ]
+        )
         rows[self.INDEX] = order
         self.rows = rows
 
@@ -197,12 +222,27 @@ class CDSBlockState:
         """The channel whose block holds scan rank ``rank``."""
         return bisect_right(self.starts, rank) - 1
 
+    def _refresh(self, channel: int) -> None:
+        """Rewrite the aggregate-dependent rows of ``channel``'s block:
+        the origin aggregates and ``c`` (one matvec)."""
+        start = self.starts[channel]
+        stop = self.starts[channel + 1]
+        rows = self.rows
+        rows[self.ORIGIN_Z: self.ORIGIN_F + 1, start:stop] = (
+            self.agg[1:3, channel: channel + 1]
+        )
+        np.dot(
+            self.agg[:3, channel],
+            rows[self.TWO_FZ: self.Z + 1, start:stop],
+            out=rows[self.C, start:stop],
+        )
+
     def move(self, rank: int, destination: int) -> Tuple[int, int]:
         """Move the item at ``rank`` to the end of ``destination``'s block.
 
         Updates the aggregates in the reference's order and refreshes
-        the origin-aggregate rows of both dirtied blocks.  Returns the
-        item's ``(catalogue index, origin)``.
+        the aggregate-dependent rows of both dirtied blocks.  Returns
+        the item's ``(catalogue index, origin)``.
         """
         starts = self.starts
         rows = self.rows
@@ -225,15 +265,13 @@ class CDSBlockState:
         self.agg_z[origin] -= size
         self.agg_f[destination] += frequency
         self.agg_z[destination] += size
-        for channel in (origin, destination):
-            rows[self.ORIGIN_Z: self.ORIGIN_F + 1,
-                 starts[channel]: starts[channel + 1]] = (
-                self.agg[:, channel: channel + 1]
-            )
+        self._refresh(origin)
+        self._refresh(destination)
         return int(item[self.INDEX]), origin
 
     def block_columns(self, start: int, stop: int):
-        """The five Δc operand rows of ranks ``start:stop``."""
+        """The five :func:`cds_delta_into` operand rows of ranks
+        ``start:stop``."""
         rows = self.rows
         return (
             rows[self.F, start:stop],
@@ -241,6 +279,16 @@ class CDSBlockState:
             rows[self.TWO_FZ, start:stop],
             rows[self.ORIGIN_Z, start:stop],
             rows[self.ORIGIN_F, start:stop],
+        )
+
+    def exact_delta(self, rank: int, destination: int) -> float:
+        """Eq. (4) for one (rank, destination) cell in the scalar
+        ``move_delta`` operation order — bitwise the reference's float."""
+        two_fz, f, z, _, origin_z, origin_f, _ = self.rows[:, rank].tolist()
+        return (
+            f * (origin_z - self.agg_z.item(destination))
+            + z * (origin_f - self.agg_f.item(destination))
+            - two_fz
         )
 
     def index_groups(self) -> List[np.ndarray]:
@@ -254,24 +302,36 @@ class CDSBlockState:
 
 
 # ----------------------------------------------------------------------
-# CDS — blocked destination-major full scan
+# CDS — one-product full scan with exact re-scoring
 # ----------------------------------------------------------------------
+#: Width of :attr:`CDSFullScan.margin` in machine epsilons of the Δc
+#: magnitude scale: 6.4× the worst-case rounding error of the product
+#: and of Eq. (4) together (see docs/verification.md).
+_SCAN_MARGIN_EPS = 32
+
+
 class CDSFullScan:
-    """Best single CDS move by a full Δc scan over a :class:`CDSBlockState`.
+    """Best single CDS move by a full scan over a :class:`CDSBlockState`.
 
-    Each call evaluates Eq. (4) for every (destination, item) pair as a
-    ``K × ranks`` matrix through :func:`cds_delta_into`, into two
-    buffers allocated once at construction and never larger than
-    ``chunk_elements`` entries; past that budget the rank axis is
-    walked in blocks (one block is the one-shot matrix).  The own
-    channel needs no mask: its ``(Z, F)`` differences are exactly zero,
-    so the cell is ``−2fz < 0`` and never beats ``epsilon``.
+    Each call forms the negated approximate Δc of every (destination,
+    rank) cell as one BLAS product, ``[Z_q, F_q, −1] · [f; z; c]`` —
+    a ``(K × 3)·(3 × ranks)`` matmul into a buffer allocated once at
+    construction and never larger than ``chunk_elements`` entries; past
+    that budget the rank axis is walked in blocks (one block is the
+    one-shot matrix).  The own channel needs no mask: its exact Δc is
+    ``−2fz ≤ 0`` and never beats ``epsilon``.
 
-    Selection is two-stage: the leftmost argmax per destination (merged
-    across blocks under strict ``>``), then among the destinations
-    tying for the maximum the minimum rank, then the minimum
-    destination — the reference's first strict maximum in (origin,
-    position, destination) order, since rank order is scan order.
+    The product re-associates Eq. (4), so its floats differ from the
+    reference's by up to :attr:`margin`.  Selection therefore takes the
+    per-destination argmin, and every cell whose approximate value lies
+    within ``2·margin`` of the approximate optimum — in practice the
+    optimum alone, confirmed by a second-minimum check on its row — is
+    re-scored with :meth:`CDSBlockState.exact_delta`.  Any cell outside
+    that band is exactly worse than the optimum cell, so the exact
+    maximum and all its ties are among the re-scored cells; among them
+    the minimum rank, then the minimum destination wins — the
+    reference's first strict maximum in (origin, position, destination)
+    order, since rank order is scan order.
     """
 
     def __init__(
@@ -284,44 +344,63 @@ class CDSFullScan:
         n = len(state)
         width = max(1, min(n, chunk_elements // max(1, k)))
         out = np.empty((k, width), dtype=np.float64)
-        tmp = np.empty((k, width), dtype=np.float64)
+        operands = state.rows[state.F: state.C + 1]
         self._blocks = [
-            (
-                start,
-                state.block_columns(start, start + width),
-                out[:, : min(width, n - start)],
-                tmp[:, : min(width, n - start)],
-            )
+            (start, operands[:, start: start + width],
+             out[:, : min(width, n - start)])
             for start in range(0, n, width)
         ]
-        self._dest_z = state.agg_z[:, None]
-        self._dest_f = state.agg_f[:, None]
+        self._state = state
+        self._weights = state.agg[1:].T
         self._channels = np.arange(k)
+        f_max = float(np.abs(state.rows[state.F]).max(initial=0.0))
+        z_max = float(np.abs(state.rows[state.Z]).max(initial=0.0))
+        scale = 2.0 * (
+            f_max * float(np.abs(state.agg_z).sum())
+            + z_max * float(np.abs(state.agg_f).sum())
+            + f_max * z_max
+        )
+        eps = float(np.finfo(np.float64).eps)
+        #: Bound on |approximate − exact| Δc for any cell.
+        self.margin = _SCAN_MARGIN_EPS * eps * scale
 
     def best_move(self, epsilon: float) -> Optional[Tuple[float, int, int]]:
         """``(delta, rank, destination)`` of the best move, or ``None``
         when no move beats ``epsilon``."""
-        best: List[float] = []
-        ranks: List[int] = []
-        for start, columns, out, tmp in self._blocks:
-            cds_delta_into(*columns, self._dest_z, self._dest_f, out, tmp)
-            pos = out.argmax(axis=1)
+        band = 2.0 * self.margin
+        low = math.inf
+        candidates: List[Tuple[float, int, int]] = []
+        for start, operands, out in self._blocks:
+            np.matmul(self._weights, operands, out=out)
+            pos = out.argmin(axis=1)
             values = out[self._channels, pos].tolist()
-            if not best:
-                best = values
-                ranks = pos.tolist()
-                continue
+            low = min(low, min(values))
+            bar = low + band
             for q, value in enumerate(values):
-                if value > best[q]:
-                    best[q] = value
-                    ranks[q] = start + int(pos[q])
-        top = max(best)
-        if not top > epsilon:
+                if value > bar:
+                    continue
+                # Second-minimum check: only a near-tie on this row
+                # needs the full candidate list.
+                row = out[q]
+                p = pos.item(q)
+                candidates.append((value, start + p, q))
+                row[p] = math.inf
+                if row.item(row.argmin()) <= bar:
+                    for i in np.flatnonzero(row <= bar).tolist():
+                        candidates.append((row.item(i), start + i, q))
+        if not self.margin - low > epsilon:
             return None
-        rank, destination = min(
-            (ranks[q], q) for q, value in enumerate(best) if value == top
-        )
-        return top, rank, destination
+        exact_delta = self._state.exact_delta
+        best = None
+        for value, rank, q in candidates:
+            if value <= bar:
+                key = (-exact_delta(rank, q), rank, q)
+                if best is None or key < best:
+                    best = key
+        delta = -best[0]
+        if not delta > epsilon:
+            return None
+        return delta, best[1], best[2]
 
 
 # ----------------------------------------------------------------------

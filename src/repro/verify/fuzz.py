@@ -9,6 +9,9 @@ scalar references at a few hundred items,
 and an occasional large-N smoke band (low thousands of items) where
 only the uncapped checkers run — enough to catch scaling regressions
 in the array-resident pipeline without leaving seconds-scale budgets.
+One case in five (chosen by its seed) is *quantized*: its frequencies
+and sizes each take one of three values, so duplicated items put exact
+Δc ties in front of CDS's tie-break and the full scan's re-scoring.
 
 On a violation the offending case is **shrunk** greedily (drop item
 chunks of halving size, then reduce the channel count) while it keeps
@@ -319,6 +322,20 @@ class FuzzCase:
     diversity: float
     case_seed: int
 
+    @property
+    def quantized(self) -> bool:
+        """Whether the catalogue comes from :func:`_quantized_database`
+        instead of the Zipf/diversity model.  Chosen from the case seed,
+        so the other cases' parameters are unchanged."""
+        return self.case_seed % _QUANTIZED_EVERY == 0
+
+
+#: One case in this many has a quantized catalogue.
+_QUANTIZED_EVERY = 5
+
+#: Distinct frequency and size values of a quantized catalogue.
+_QUANTIZED_LEVELS = 3
+
 
 def _generate_case(rng: np.random.Generator, index: int) -> FuzzCase:
     regime = rng.random()
@@ -345,6 +362,8 @@ def _generate_case(rng: np.random.Generator, index: int) -> FuzzCase:
 
 
 def _materialize(case: FuzzCase) -> BroadcastDatabase:
+    if case.quantized:
+        return _quantized_database(case)
     spec = WorkloadSpec(
         num_items=case.num_items,
         skewness=case.skewness,
@@ -352,6 +371,22 @@ def _materialize(case: FuzzCase) -> BroadcastDatabase:
         seed=case.case_seed,
     )
     return generate_database(spec)
+
+
+def _quantized_database(case: FuzzCase) -> BroadcastDatabase:
+    """A catalogue whose frequencies and sizes each take one of
+    :data:`_QUANTIZED_LEVELS` values.  Duplicated ``(f, z)`` items give
+    exactly tied Δc cells — across ranks, origins and destinations —
+    which natural catalogues almost never do, so CDS's tie-break and
+    the full scan's exact re-scoring are exercised against the scalar
+    reference."""
+    rng = np.random.default_rng(case.case_seed)
+    levels = rng.integers(0, _QUANTIZED_LEVELS, size=(2, case.num_items))
+    weights = rng.uniform(0.5, 2.0, _QUANTIZED_LEVELS)[levels[0]]
+    sizes = 10.0 ** rng.uniform(0.0, case.diversity, _QUANTIZED_LEVELS)
+    return BroadcastDatabase.from_arrays(
+        (weights / weights.sum()).tolist(), sizes[levels[1]].tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +496,7 @@ def serialize_failure(failure: FuzzFailure, directory: Union[str, Path]) -> Path
             "skewness": failure.case.skewness,
             "diversity": failure.case.diversity,
             "case_seed": failure.case.case_seed,
+            "quantized": failure.case.quantized,
         },
         "items": [
             [item.item_id, item.frequency, item.size]

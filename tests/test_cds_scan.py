@@ -1,11 +1,12 @@
-"""Tests for the dirty-pair incremental CDS scan (``scan="incremental"``).
+"""Tests for the CDS scan modes against the scalar reference.
 
-The incremental scan maintains a K×K best-move candidate matrix and,
-after each executed move, recomputes only the cells whose origin or
-destination aggregates changed.  Its contract is *bitwise* equality
-with the full scan and the scalar reference loop: the same move
-sequence, the same deltas,
-the same final allocation — only the number of Δc evaluations differs.
+The incremental scan (``scan="incremental"``) maintains a K×K best-move
+candidate matrix and, after each executed move, recomputes only the
+cells whose origin or destination aggregates changed.  The full scan
+ranks every cell with one BLAS product and re-scores the near-optimal
+ones exactly.  The contract of both is *bitwise* equality with the
+scalar reference loop: the same move sequence, the same deltas, the
+same final allocation — only the number of Δc evaluations differs.
 Every test here is a facet of that contract.
 """
 
@@ -237,6 +238,177 @@ class TestTieLattice:
         alloc = self.allocation(seed)
         assert_reference_moves(alloc, full_scan_moves, chunk)
         assert_reference_moves(alloc, pair_index_moves, chunk)
+
+
+# ----------------------------------------------------------------------
+# Exact re-scoring of the full scan's near-optimal cells
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Per-scan counts of the cells :class:`CDSFullScan` re-scored with
+    the exact Eq. (4) order (one entry per ``best_move`` call)."""
+    counts = []
+    exact_delta = CDSBlockState.exact_delta
+    best_move = CDSFullScan.best_move
+
+    def counting_exact(self, rank, destination):
+        counts[-1] += 1
+        return exact_delta(self, rank, destination)
+
+    def counting_best_move(self, epsilon):
+        counts.append(0)
+        return best_move(self, epsilon)
+
+    monkeypatch.setattr(CDSBlockState, "exact_delta", counting_exact)
+    monkeypatch.setattr(CDSFullScan, "best_move", counting_best_move)
+    return counts
+
+
+def soa_allocation(freq, size, groups):
+    """An allocation over an unnormalised catalogue, grouped by index."""
+    db = BroadcastDatabase.from_soa(freq, size, require_normalized=False)
+    return ChannelAllocation(db, [[db.items[i] for i in g] for g in groups])
+
+
+def exact_deltas(state):
+    """Every (destination, rank) cell through :func:`cds_delta_into` —
+    bitwise the scalar reference's floats."""
+    out = np.empty((state.num_channels, len(state)))
+    return kernels.cds_delta_into(
+        *state.block_columns(0, len(state)),
+        state.agg_z[:, None],
+        state.agg_f[:, None],
+        out,
+        np.empty_like(out),
+    )
+
+
+class TestExactRescore:
+    """The full scan ranks cells by a re-associated BLAS product and
+    re-scores the near-optimal ones exactly.  Natural catalogues almost
+    never put two cells inside the margin, so these build the cases
+    that do: exact Δc ties from duplicated items and cells 1 ulp
+    apart, against the scalar reference move by move."""
+
+    #: Non-dyadic feature values, so the product and Eq. (4) round
+    #: differently.
+    HEAVY = (0.2, 3.1)
+    LIGHT = (0.013, 0.7)
+    FILLER = ((0.07, 1.3), (0.029, 2.9))
+
+    @classmethod
+    def duplicated(cls, copies_per_block, heavy_blocks, light_blocks):
+        """``heavy_blocks`` identical channels, each holding
+        ``copies_per_block`` copies of one heavy item between fillers,
+        then ``light_blocks`` identical one-item channels: the best
+        move ties across ranks of one block, across origins and across
+        destinations at once."""
+        block = [cls.FILLER[0]] + [cls.HEAVY] * copies_per_block + [
+            cls.FILLER[1]
+        ]
+        features = block * heavy_blocks + [cls.LIGHT] * light_blocks
+        groups, start = [], 0
+        for length in [len(block)] * heavy_blocks + [1] * light_blocks:
+            groups.append(list(range(start, start + length)))
+            start += length
+        freq, size = zip(*features)
+        return soa_allocation(freq, size, groups)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 1, 2), (1, 2, 2), (2, 3, 3), (4, 2, 1)],
+        ids=["one-block", "across-blocks", "both", "one-destination"],
+    )
+    def test_duplicated_items_match_reference(self, shape, rescored):
+        alloc = self.duplicated(*shape)
+        reference = cds_refine_reference(alloc)
+        rescored.clear()
+        assert_identical_runs(reference, cds_refine(alloc, scan="full"))
+        assert max(rescored) >= 2  # the tie went through the re-score
+        for chunk in (1, 3, 7):
+            assert_reference_moves(alloc, full_scan_moves, chunk)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("chunk", (None, 5))
+    def test_quantized_catalogues_match_reference(self, seed, chunk):
+        """Features from three values each: duplicated (f, z) items in
+        random groupings, inside and across channel blocks."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 48))
+        k = int(rng.integers(2, 7))
+        freq = rng.choice([0.013, 0.029, 0.071], n)
+        size = rng.choice([1.3, 2.9, 7.1], n)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        alloc = soa_allocation(
+            freq, size, [np.flatnonzero(labels == c) for c in range(k)]
+        )
+        if chunk is None:
+            assert_identical_runs(
+                cds_refine_reference(alloc), cds_refine(alloc, scan="full")
+            )
+        else:
+            assert_reference_moves(alloc, full_scan_moves, chunk)
+
+    @staticmethod
+    def ulp_pairs():
+        """Catalogues whose two best cells — items A and B, both to
+        channel 1 — are exactly 1 ulp apart, in either order.  B is A
+        with its frequency nudged by ``j`` ulps."""
+        found = []
+        for j in range(-60, 61):
+            alloc = soa_allocation(
+                [0.2, 0.2 + j * np.spacing(0.2), 0.1, 0.01, 0.02],
+                [3.0, 3.0, 0.5, 0.1, 0.2],
+                [[0, 1, 2], [3], [4]],
+            )
+            deltas = exact_deltas(block_state(alloc))
+            a, b = deltas[1, 0], deltas[1, 1]
+            rest = np.delete(deltas.ravel(), [5, 6])
+            if abs(a - b) == np.spacing(min(a, b)) and rest.max() < min(a, b):
+                found.append((alloc, a > b))
+        return found
+
+    def test_one_ulp_pairs_match_reference(self):
+        pairs = self.ulp_pairs()
+        # Both orders occur, so a scan that trusted the product's
+        # ranking would be wrong on one side or the other.
+        assert sum(a_wins for _, a_wins in pairs) >= 5
+        assert sum(not a_wins for _, a_wins in pairs) >= 5
+        for alloc, _ in pairs:
+            reference = cds_refine_reference(alloc)
+            assert_identical_runs(reference, cds_refine(alloc, scan="full"))
+            assert_reference_moves(alloc, full_scan_moves, 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_margin_bounds_every_cell(self, seed):
+        """|approximate − exact| ≤ margin on every cell, own-channel
+        cells included, across feature scales and after moves."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 400))
+        k = int(rng.integers(2, 9))
+        scale = 10.0 ** rng.uniform(-4, 4)
+        freq = rng.pareto(1.0, n) + 1e-3
+        size = scale * 10.0 ** rng.uniform(0, 3, n)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        alloc = soa_allocation(
+            freq, size, [np.flatnonzero(labels == c) for c in range(k)]
+        )
+        state = block_state(alloc)
+        scan = CDSFullScan(state)
+        for _ in range(5):
+            approx = -np.matmul(
+                state.agg[1:].T, state.rows[state.F: state.C + 1]
+            )
+            error = np.abs(approx - exact_deltas(state))
+            assert error.max() <= scan.margin
+            rank = int(rng.integers(0, n))
+            destination = int(rng.integers(0, k))
+            if destination != state.origin_of(rank):
+                state.move(rank, destination)
 
 
 # ----------------------------------------------------------------------
