@@ -8,11 +8,14 @@ afford to regenerate the program whenever the profile moves.
 
 from __future__ import annotations
 
+import math
+
 from benchmarks.conftest import save_report
 from repro.analysis.tables import format_table
+from repro.core.database import BroadcastDatabase
 from repro.core.scheduler import DRPCDSAllocator
 from repro.simulation.adaptive import RotatingDrift, run_adaptive_simulation
-from repro.workloads.estimator import estimate_database
+from repro.workloads.estimator import DecayedCounts
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.trace import synthesize_trace
 
@@ -33,12 +36,8 @@ def test_adaptive_vs_static(benchmark):
     )
 
     def run_both():
-        adaptive = run_adaptive_simulation(
-            database, DRPCDSAllocator(), adapt=True, **common
-        )
-        static = run_adaptive_simulation(
-            database, DRPCDSAllocator(), adapt=False, **common
-        )
+        adaptive = run_adaptive_simulation(database, adapt=True, **common)
+        static = run_adaptive_simulation(database, adapt=False, **common)
         return adaptive, static
 
     adaptive, static = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -65,12 +64,19 @@ def test_adaptive_vs_static(benchmark):
 def test_adaptation_step_runtime(benchmark):
     """One full adaptation step: estimate from 4k requests + re-allocate."""
     database = generate_database(WorkloadSpec(num_items=120, seed=7))
-    sizes = {item.item_id: item.size for item in database.items}
+    ids = list(database.item_ids)
     trace = synthesize_trace(database, 4000, seed=1)
+    requested = [record.item_id for record in trace]
+    timestamps = [record.timestamp for record in trace]
     allocator = DRPCDSAllocator()
 
     def adapt_once():
-        estimated = estimate_database(trace, sizes)
+        counts = DecayedCounts(ids, half_life=math.inf)
+        counts.add(counts.rows(requested), timestamps)
+        profile = counts.estimate_profile(ids)
+        estimated = BroadcastDatabase.from_soa(
+            [profile[item_id] for item_id in ids], database.sizes, ids=ids
+        )
         return allocator.allocate(estimated, 7)
 
     outcome = benchmark(adapt_once)

@@ -2,43 +2,50 @@
 
 How much trace does the server need before an estimated profile yields
 a near-truth program?  Sweeps trace length (L1 error should shrink like
-1/sqrt(n)) and compares the count vs decay estimators under drift.
+1/sqrt(n)) and compares plain counts (``DecayedCounts`` at an infinite
+half-life) with decayed counts under drift.
 """
 
 from __future__ import annotations
+
+import math
 
 from benchmarks.conftest import save_report
 from repro.analysis.tables import format_table
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import allocation_cost
+from repro.core.database import BroadcastDatabase
 from repro.core.scheduler import DRPCDSAllocator
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayEstimator,
-    estimate_database,
-    profile_l1_error,
-)
+from repro.workloads.estimator import DecayedCounts, profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.trace import synthesize_trace
 
 TRACE_LENGTHS = (200, 1000, 5000, 25000)
 
 
+def estimate(trace, catalogue, *, half_life=math.inf, smoothing=0.5):
+    """Smoothed profile of ``trace`` over ``catalogue`` (item id -> f)."""
+    counts = DecayedCounts(catalogue, half_life=half_life)
+    counts.add(
+        counts.rows([record.item_id for record in trace]),
+        [record.timestamp for record in trace],
+    )
+    return counts.estimate_profile(catalogue, smoothing=smoothing)
+
+
 def accuracy_sweep():
     database = generate_database(WorkloadSpec(num_items=80, seed=4))
-    sizes = {item.item_id: item.size for item in database.items}
+    ids = list(database.item_ids)
     truth = {item.item_id: item.frequency for item in database.items}
     allocator = DRPCDSAllocator()
     truth_cost = allocator.allocate(database, 6).cost
     rows = []
     for length in TRACE_LENGTHS:
         trace = synthesize_trace(database, length, seed=1)
-        estimated = estimate_database(
-            trace, sizes, estimator=CountEstimator(smoothing=0.5)
+        profile = estimate(trace, ids)
+        estimated = BroadcastDatabase.from_soa(
+            [profile[item_id] for item_id in ids], database.sizes, ids=ids
         )
-        profile = {
-            item.item_id: item.frequency for item in estimated.items
-        }
         error = profile_l1_error(profile, truth)
         # Allocation built from the estimate, scored under the truth.
         allocation = allocator.allocate(estimated, 6).allocation
@@ -84,8 +91,8 @@ def test_estimator_accuracy_vs_trace_length(benchmark):
 
 
 def test_decay_beats_counts_under_drift(benchmark):
-    """After a popularity flip, the decayed estimator tracks the new
-    regime while plain counts stay anchored to history."""
+    """After a popularity flip, decayed counts track the new regime
+    while plain counts stay anchored to history."""
     database = generate_database(WorkloadSpec(num_items=40, seed=5))
     ids = list(database.item_ids)
     old_profile = [item.frequency for item in database.items]
@@ -107,10 +114,8 @@ def test_decay_beats_counts_under_drift(benchmark):
         for record in late:
             merged.record(offset + record.timestamp, record.item_id)
         truth = dict(zip(ids, new_profile))
-        count_est = CountEstimator(smoothing=0.5).estimate(merged, ids)
-        decay_est = DecayEstimator(
-            half_life=offset / 8, smoothing=0.5
-        ).estimate(merged, ids)
+        count_est = estimate(merged, ids)
+        decay_est = estimate(merged, ids, half_life=offset / 8)
         return (
             profile_l1_error(count_est, truth),
             profile_l1_error(decay_est, truth),

@@ -7,22 +7,23 @@ Run with::
 The paper's complexity result — DRP-CDS generates programs orders of
 magnitude faster than a GA — is what makes *adaptive* operation
 practical: the server can afford to re-run the allocator at every epoch
-boundary.  This example closes the Figure 1 loop end to end:
+boundary.  This example closes the Figure 1 loop end to end, through
+the live broadcast service:
 
   clients request (with drifting interests)
-    -> server logs the trace
-    -> estimates fresh frequencies (Laplace-smoothed counts)
-    -> regenerates the broadcast program with DRP-CDS
+    -> server counts the requests (decayed, Laplace-smoothed counts)
+    -> re-estimates the frequencies at each epoch boundary
+    -> regenerates the broadcast program with warm-started DRP-CDS
+    -> hands it over at the old program's next major-cycle boundary
 
 and compares against a server that never re-allocates.
 """
 
 from __future__ import annotations
 
-from repro import DRPCDSAllocator, WorkloadSpec, generate_database
+from repro import WorkloadSpec, generate_database
 from repro.analysis.tables import format_table
 from repro.simulation import RotatingDrift, run_adaptive_simulation
-from repro.workloads import CountEstimator
 
 
 def main() -> None:
@@ -39,16 +40,11 @@ def main() -> None:
         epochs=6,
         requests_per_epoch=4000,
         drift=drift,
-        estimator=CountEstimator(smoothing=0.5),
         seed=2,
     )
 
-    adaptive = run_adaptive_simulation(
-        database, DRPCDSAllocator(), adapt=True, **common
-    )
-    static = run_adaptive_simulation(
-        database, DRPCDSAllocator(), adapt=False, **common
-    )
+    adaptive = run_adaptive_simulation(database, adapt=True, **common)
+    static = run_adaptive_simulation(database, adapt=False, **common)
 
     rows = []
     for a, s in zip(adaptive, static):

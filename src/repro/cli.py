@@ -338,16 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="popularity rank rotation per epoch",
     )
     adaptive.add_argument("--seed", type=int, default=0)
-    adaptive.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "re-seed CDS from the previous epoch's allocation at each "
-            "epoch boundary (incremental engine with regression guard "
-            "and allocation cache) instead of re-running DRP+CDS cold"
-        ),
-    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -976,7 +966,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_adaptive(args: argparse.Namespace) -> int:
-    from repro.core.scheduler import DRPCDSAllocator
     from repro.simulation.adaptive import RotatingDrift, run_adaptive_simulation
 
     database = generate_database(
@@ -993,13 +982,8 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
         drift=drift,
         seed=args.seed,
     )
-    warm = getattr(args, "warm_start", False)
-    adaptive = run_adaptive_simulation(
-        database, DRPCDSAllocator(), adapt=True, warm_start=warm, **common
-    )
-    static = run_adaptive_simulation(
-        database, DRPCDSAllocator(), adapt=False, **common
-    )
+    adaptive = run_adaptive_simulation(database, adapt=True, **common)
+    static = run_adaptive_simulation(database, adapt=False, **common)
     rows = [
         (a.epoch, s.measured.mean, a.measured.mean, a.profile_error)
         for a, s in zip(adaptive, static)
@@ -1019,20 +1003,17 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
             precision=3,
         )
     )
-    if warm:
-        warm_epochs = sum(
-            1 for r in adaptive if r.allocation_mode in ("warm", "fallback")
-        )
-        fallbacks = sum(
-            1 for r in adaptive if r.allocation_mode == "fallback"
-        )
-        cache_hits = sum(1 for r in adaptive if r.cache_hit)
-        moves = sum(r.warm_moves for r in adaptive)
-        print(
-            f"\nwarm start: {warm_epochs}/{len(adaptive)} epochs warm "
-            f"({moves} CDS moves total), {cache_hits} cache hits, "
-            f"{fallbacks} guard fallbacks"
-        )
+    warm_epochs = sum(
+        1 for r in adaptive if r.allocation_mode in ("warm", "fallback")
+    )
+    fallbacks = sum(1 for r in adaptive if r.allocation_mode == "fallback")
+    cache_hits = sum(1 for r in adaptive if r.cache_hit)
+    moves = sum(r.warm_moves for r in adaptive)
+    print(
+        f"\nwarm start: {warm_epochs}/{len(adaptive)} epochs warm "
+        f"({moves} CDS moves total), {cache_hits} cache hits, "
+        f"{fallbacks} guard fallbacks"
+    )
     return 0
 
 

@@ -303,7 +303,8 @@ class BroadcastDatabase:
         """A copy with replaced frequencies (ids, sizes, labels shared).
 
         The array-native profile update the incremental engine uses —
-        no per-item objects are built.
+        no per-item objects are built.  The id index is built here if
+        need be and shared too, so a chain of clones builds it once.
         """
         if len(frequencies) != len(self):
             raise InvalidDatabaseError(
@@ -317,7 +318,7 @@ class BroadcastDatabase:
         clone._id_prefix = self._id_prefix
         clone._labels = self._labels
         clone._items = None
-        clone._index_by_id = self._index_by_id
+        clone._index_by_id = self._id_index()
         clone._br_order = None
         clone._validate_soa(require_normalized)
         return clone

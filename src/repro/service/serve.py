@@ -18,6 +18,11 @@ implies but never builds.  It composes three existing subsystems:
   program, so no request ever observes a torn schedule
   (:class:`LiveProgram`).
 
+This is the repo's one epoch loop:
+:func:`~repro.simulation.adaptive.run_adaptive_simulation` runs it over
+a synthetic drifting stream and scores each epoch against the true
+popularity.
+
 Ingest is chunked: :meth:`BroadcastService.run` buffers up to
 ``CHUNK_RECORDS`` requests and serves them together — one id-to-row
 mapping, one vectorised wait computation
@@ -252,9 +257,14 @@ class ServeEpochReport:
 
     The allocation-provenance fields (``allocation_mode`` /
     ``warm_moves`` / ``cache_hit`` / ``reallocated``) describe how the
-    program *serving* this epoch was obtained — the same semantics as
-    :class:`~repro.simulation.adaptive.EpochReport`, so an offline
-    adaptive oracle run on the same batches lines up report-for-report.
+    program *serving* this epoch was obtained, so an offline adaptive
+    oracle run on the same batches lines up report-for-report.
+    ``allocation`` is the program on air at the epoch's close — the one
+    ``allocation_cost`` prices — without its cached item views; its
+    ``database`` is the profile it was built from.
+    :func:`~repro.simulation.adaptive.run_adaptive_simulation` re-prices
+    it under the true popularity.  It is left out of :meth:`to_dict` and
+    of equality.
     """
 
     epoch: int
@@ -271,6 +281,7 @@ class ServeEpochReport:
     reallocated: bool
     generation: int
     estimator_state: int
+    allocation: ChannelAllocation = field(compare=False, repr=False)
     switch_at: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -378,16 +389,16 @@ class BroadcastService:
             regression_guard=regression_guard,
             cache=cache if cache is not None else AllocationCache(),
         )
-        self._size_array = np.array(
+        # The uniform prior in catalogue order; every believed database
+        # is a clone of it, sharing one copy of the ids, sizes and id
+        # index.
+        self._catalogue_db = BroadcastDatabase.from_soa(
+            np.full(len(self._catalogue), 1.0 / len(self._catalogue)),
             [self._sizes[item_id] for item_id in self._catalogue],
-            dtype=np.float64,
+            ids=self._catalogue,
         )
         if initial_database is None:
-            initial_database = BroadcastDatabase.from_soa(
-                np.full(len(self._catalogue), 1.0 / len(self._catalogue)),
-                self._size_array,
-                ids=self._catalogue,
-            )
+            initial_database = self._catalogue_db
         elif set(initial_database.item_ids) != set(self._catalogue):
             raise SimulationError(
                 "initial_database must hold exactly the catalogue's items"
@@ -646,8 +657,9 @@ class BroadcastService:
         epoch = len(self.reports)
         with obs.span("serve.epoch", epoch=epoch, requests=len(waits)):
             believed = self._believed
+            on_air = self.live.allocation
             cost = cost_under_profile(
-                self.live.allocation, believed.item_ids, believed.frequencies
+                on_air, believed.item_ids, believed.frequencies
             )
             report = ServeEpochReport(
                 epoch=epoch,
@@ -664,6 +676,14 @@ class BroadcastService:
                 reallocated=self._reallocated,
                 generation=self.live.generation,
                 estimator_state=self._estimator.state_size,
+                # A copy without the item views the live program built
+                # on it, so the report history holds O(N) floats per
+                # epoch rather than N item objects.
+                allocation=on_air.with_database(
+                    on_air.database.with_frequencies(
+                        on_air.database.frequencies
+                    )
+                ),
                 switch_at=self._pending_switch,
             )
             self.reports.append(report)
@@ -705,18 +725,31 @@ class BroadcastService:
             self._last_drift = drift
             if drift == 0.0:
                 # Zero drift: the deterministic engine would reproduce
-                # the current program — reuse it (adaptive.py semantics).
+                # the current program — reuse it.
                 self._mode = "reused"
                 self._cache_hit = True
                 if registry.enabled:
                     registry.counter("incremental.cache_hits").inc()
                 self._engine.stats.cache_hits += 1
                 return
-            self._believed = BroadcastDatabase.from_soa(
-                [estimated_profile[item_id] for item_id in self._catalogue],
-                self._size_array,
-                ids=self._catalogue,
-            )
+            frequencies = [
+                estimated_profile[item_id] for item_id in self._catalogue
+            ]
+            if min(frequencies) <= 0.0:
+                unobserved = [
+                    item_id
+                    for item_id, frequency in zip(self._catalogue, frequencies)
+                    if frequency <= 0.0
+                ]
+                # Fail here, with the fix, rather than in the database
+                # constructor's generic check on item features.
+                raise SimulationError(
+                    f"{len(unobserved)} catalogue item(s) were never "
+                    f"requested and estimate to frequency 0 (first: "
+                    f"{unobserved[:3]}); the analytical model needs "
+                    "every item's frequency positive — use smoothing > 0"
+                )
+            self._believed = self._catalogue_db.with_frequencies(frequencies)
             result = self._engine.reallocate(self._believed)
             self._mode = result.mode
             self._warm_moves = result.warm_moves
@@ -749,12 +782,11 @@ def drifting_stream(
 
     Epoch ``e`` occupies stream time ``[e·S, (e+1)·S)`` and contains
     exactly ``requests_per_epoch`` requests at evenly spaced instants,
-    with item picks drawn from the epoch's drifted distribution (same
-    :class:`RotatingDrift` model and per-epoch seeds as
-    :func:`~repro.simulation.adaptive.run_adaptive_simulation`).  The
-    even spacing keeps each request inside its intended epoch — which
-    is what lets the end-to-end test line the service up against an
-    offline oracle batch-for-batch.
+    with item picks drawn from the epoch's drifted distribution
+    (:class:`RotatingDrift`, seeded ``seed + e``).  The even spacing
+    keeps each request inside its intended epoch — which is what lets
+    the end-to-end test line the service up against an offline oracle
+    batch-for-batch.
     """
     if epochs < 1:
         raise SimulationError(f"epochs must be >= 1, got {epochs}")

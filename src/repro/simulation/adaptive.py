@@ -1,16 +1,21 @@
-"""Adaptive broadcasting: re-estimate, re-allocate, repeat.
+"""Adaptive broadcasting: the live service, scored against the truth.
 
 The paper generates one program from one static profile.  A deployed
 server (its Figure 1) keeps collecting access patterns while interests
-drift, and periodically regenerates the program.  This module simulates
-that loop over epochs:
+drift, and periodically regenerates the program.  That loop is
+:class:`~repro.service.BroadcastService`; this module drives it over a
+synthetic drifting stream and scores each epoch against the popularity
+that generated it, which only a simulation knows:
 
-1. clients issue requests according to the *current true* popularity
-   (which drifts per epoch);
-2. the server measures waiting times under its current program and logs
-   the requests;
-3. at the epoch boundary it re-estimates the profile from the trace
-   (:mod:`repro.workloads.estimator`) and re-runs the allocator.
+1. :func:`~repro.service.drifting_stream` issues each epoch's requests
+   from that epoch's *true* (drifted) popularity, one request per
+   second of stream time;
+2. the service serves them, and at each epoch boundary re-estimates the
+   profile from its decayed counts and re-allocates through its warm
+   DRP+CDS engine; the new program goes on air at the next major-cycle
+   boundary of the old one;
+3. :func:`run_adaptive_simulation` prices the program on air at each
+   epoch's close under the epoch's truth.
 
 Comparing the adaptive loop against a static program quantifies how
 much the paper's fast allocator buys operationally: DRP-CDS is cheap
@@ -22,30 +27,16 @@ Extension beyond the paper (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
-from repro.core.incremental import (
-    DEFAULT_REGRESSION_GUARD,
-    AllocationCache,
-    IncrementalAllocator,
-)
-from repro.core.scheduler import Allocator
 from repro.exceptions import SimulationError
 from repro.simulation.metrics import SummaryStatistics, summarize
-from repro.simulation.server import BroadcastProgram
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayEstimator,
-    estimate_database,
-    profile_l1_error,
-)
-from repro.workloads.trace import synthesize_trace
+from repro.workloads.estimator import profile_l1_error
 
 __all__ = ["RotatingDrift", "EpochReport", "run_adaptive_simulation"]
 
@@ -89,18 +80,19 @@ class EpochReport:
     measured:
         Waiting-time summary of this epoch's requests.
     cost_under_truth:
-        Eq.-(3) cost of the epoch's allocation *evaluated against the
-        true popularity* — the quantity the allocator would minimise if
-        it knew the truth.
+        Eq.-(3) cost of the program on air at the epoch's close
+        *evaluated against the true popularity* — the quantity the
+        allocator would minimise if it knew the truth.
     profile_error:
-        L1 distance between the profile the program was built from and
+        L1 distance between the profile that program was built from and
         the epoch's true distribution (0 = the server knew the truth).
     reallocated:
-        Whether the program was regenerated before this epoch.
+        Whether the program was regenerated at the preceding epoch
+        boundary (the initial build counts for epoch 0).
     cache_hit:
         True when the epoch boundary reused a previous program instead
-        of searching: the estimator reported zero L1 drift, or the warm
-        engine's allocation cache held the believed profile.
+        of searching: the estimated profile showed zero L1 drift, or the
+        warm engine's allocation cache held the believed profile.
     warm_moves:
         CDS moves the warm-started refinement executed at the preceding
         epoch boundary (0 for cold/static/reused epochs).
@@ -120,21 +112,18 @@ class EpochReport:
     allocation_mode: str = "cold"
 
 
+
+
 def run_adaptive_simulation(
     database: BroadcastDatabase,
-    allocator: Allocator,
     num_channels: int,
     *,
     epochs: int = 8,
     requests_per_epoch: int = 4000,
     drift: Optional[RotatingDrift] = None,
-    estimator: "CountEstimator | DecayEstimator | None" = None,
     adapt: bool = True,
     bandwidth: float = DEFAULT_BANDWIDTH,
     seed: int = 0,
-    warm_start: bool = False,
-    cache: Optional[AllocationCache] = None,
-    regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
 ) -> List[EpochReport]:
     """Simulate epochs of drifting demand with optional re-allocation.
 
@@ -142,169 +131,102 @@ def run_adaptive_simulation(
     ----------
     database:
         The catalogue with its *initial* access profile; sizes are fixed
-        throughout, frequencies drift.
-    allocator:
-        Any :class:`Allocator` — regenerates the program at each epoch
-        boundary when ``adapt`` is true.
+        throughout, frequencies drift.  The first program is DRP+CDS on
+        this profile.
     num_channels:
         Channel count K.
     epochs / requests_per_epoch:
-        Simulation horizon.
+        Simulation horizon.  Epochs last ``requests_per_epoch`` seconds
+        of stream time, one request per second.
     drift:
         The popularity drift model; default rotates by one rank per
         epoch.
-    estimator:
-        Frequency estimator applied to the previous epoch's trace;
-        default :class:`CountEstimator` (Laplace-smoothed counts).
     adapt:
-        False freezes the initial program — the static baseline.
+        True runs :class:`~repro.service.BroadcastService` over the
+        stream: decayed counts (half-life two epochs, Laplace smoothing
+        1), warm re-allocation at every boundary, cycle-boundary
+        handover.  False freezes the service's initial program over the
+        same requests — the static baseline.
     bandwidth:
         Channel bandwidth ``b``.
     seed:
         Master seed; per-epoch streams derive from it.
-    warm_start:
-        Route epoch-boundary re-allocations through an
-        :class:`~repro.core.incremental.IncrementalAllocator`: CDS is
-        re-seeded from the previous epoch's allocation (guarded by
-        ``regression_guard``) instead of rebuilding from scratch, and an
-        allocation cache short-circuits recurring believed profiles.
-        The engine's pipeline is DRP+CDS regardless of ``allocator``
-        (its first build is a cold DRP+CDS run).  Off by default — the
-        cold loop reproduces the pre-existing behaviour bit for bit.
-    cache:
-        Optional :class:`~repro.core.incremental.AllocationCache` to
-        consult/populate across epochs (and across calls, when shared);
-        only used with ``warm_start``.  Default: a fresh private cache.
-    regression_guard:
-        Warm-start fallback threshold (see
-        :func:`~repro.core.incremental.warm_start_refine`); only used
-        with ``warm_start``.
 
     Returns
     -------
     list of EpochReport, one per epoch.
-
-    Notes
-    -----
-    Independent of ``warm_start``, an epoch boundary whose re-estimated
-    profile shows **zero** L1 drift against the current believed profile
-    reuses the previous program verbatim (the allocator is
-    deterministic, so rebuilding could only reproduce it); the epoch is
-    reported with ``allocation_mode="reused"``, ``cache_hit=True`` and
-    counted on the ``incremental.cache_hits`` metrics counter.
     """
-    if epochs < 1:
-        raise SimulationError(f"epochs must be >= 1, got {epochs}")
-    if requests_per_epoch < 1:
-        raise SimulationError(
-            f"requests_per_epoch must be >= 1, got {requests_per_epoch}"
-        )
+    # Imported here: repro.service.serve imports RotatingDrift from this
+    # module.
+    from repro.service.serve import BroadcastService, drifting_stream
+
     if drift is None:
         drift = RotatingDrift(
             [item.frequency for item in database.items], shift_per_epoch=1
         )
-    if estimator is None:
-        estimator = CountEstimator()
-
-    sizes: Dict[str, float] = {
-        item.item_id: item.size for item in database.items
-    }
-    ids = list(database.item_ids)
-    believed = database  # the profile the current program was built from
-    engine: Optional[IncrementalAllocator] = None
-    if warm_start:
-        engine = IncrementalAllocator(
-            num_channels,
-            regression_guard=regression_guard,
-            cache=cache if cache is not None else AllocationCache(),
-        )
-        allocation: ChannelAllocation = engine.reallocate(believed).allocation
-    else:
-        allocation = allocator.allocate(believed, num_channels).allocation
-    # The program is rebuilt only when the allocation changes — an
-    # unchanged epoch reuses the previous program verbatim.
-    program = BroadcastProgram(allocation, bandwidth=bandwidth)
-
-    reports: List[EpochReport] = []
-    reallocated = True  # the initial build counts as a (re)allocation
-    cache_hit = False
-    warm_moves = 0
-    mode = "cold" if adapt else "static"
-    for epoch in range(epochs):
-        truth = drift.probabilities(epoch)
-        trace = synthesize_trace(
+    records = list(
+        drifting_stream(
             database,
-            requests_per_epoch,
-            seed=seed + epoch,
-            probabilities=truth.tolist(),
+            epochs=epochs,
+            requests_per_epoch=requests_per_epoch,
+            epoch_seconds=float(requests_per_epoch),
+            drift=drift,
+            seed=seed,
         )
-        waits = [
-            program.waiting_time(record.item_id, record.timestamp)
-            for record in trace
+    )
+    service = BroadcastService(
+        {item.item_id: item.size for item in database.items},
+        num_channels,
+        bandwidth=bandwidth,
+        epoch_seconds=float(requests_per_epoch),
+        initial_database=database,
+    )
+    ids = list(database.item_ids)
+
+    def scored(
+        epoch: int,
+        allocation: ChannelAllocation,
+        measured: SummaryStatistics,
+        **provenance: object,
+    ) -> EpochReport:
+        truth = drift.probabilities(epoch)
+        believed = allocation.database
+        return EpochReport(
+            epoch=epoch,
+            measured=measured,
+            cost_under_truth=cost_under_profile(allocation, ids, truth),
+            profile_error=profile_l1_error(
+                dict(zip(believed.item_ids, believed.frequencies.tolist())),
+                dict(zip(ids, truth.tolist())),
+            ),
+            **provenance,
+        )
+
+    if adapt:
+        return [
+            scored(
+                report.epoch,
+                report.allocation,
+                report.measured,
+                reallocated=report.reallocated,
+                cache_hit=report.cache_hit,
+                warm_moves=report.warm_moves,
+                allocation_mode=report.allocation_mode,
+            )
+            for report in service.run(records)
         ]
-        believed_profile = dict(
-            zip(believed.item_ids, believed.frequencies.tolist())
+    program = service.live.program
+    waits = program.waiting_times(
+        service.estimator.rows([record.item_id for record in records]),
+        np.array([record.timestamp for record in records]),
+    ).reshape(epochs, requests_per_epoch)
+    return [
+        scored(
+            epoch,
+            program.allocation,
+            summarize(waits[epoch].tolist()),
+            reallocated=epoch == 0,
+            allocation_mode="static",
         )
-        true_profile = dict(zip(ids, truth.tolist()))
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                measured=summarize(waits),
-                cost_under_truth=cost_under_profile(allocation, ids, truth),
-                profile_error=profile_l1_error(believed_profile, true_profile),
-                reallocated=reallocated,
-                cache_hit=cache_hit,
-                warm_moves=warm_moves,
-                allocation_mode=mode,
-            )
-        )
-        registry = obs.get_metrics()
-        if registry.enabled:
-            report = reports[-1]
-            registry.counter("adaptive.epochs").inc()
-            registry.counter("adaptive.mode", mode=mode).inc()
-            if reallocated:
-                registry.counter("adaptive.reallocations").inc()
-            registry.gauge("adaptive.epoch").set(epoch)
-            registry.gauge("adaptive.cost_under_truth").set(
-                report.cost_under_truth
-            )
-            registry.gauge("adaptive.profile_error").set(report.profile_error)
-            registry.gauge("adaptive.measured_wait_mean").set(
-                report.measured.mean
-            )
-        reallocated = False
-        cache_hit = False
-        warm_moves = 0
-        if adapt and epoch + 1 < epochs:
-            estimated = estimate_database(trace, sizes, estimator=estimator)
-            estimated_profile = dict(
-                zip(estimated.item_ids, estimated.frequencies.tolist())
-            )
-            if profile_l1_error(believed_profile, estimated_profile) == 0.0:
-                # Zero drift: the deterministic allocator would
-                # reproduce the current program — skip the rebuild and
-                # count the reuse as a cache hit.
-                cache_hit = True
-                mode = "reused"
-                registry = obs.get_metrics()
-                if registry.enabled:
-                    registry.counter("incremental.cache_hits").inc()
-                if engine is not None:
-                    engine.stats.cache_hits += 1
-            else:
-                believed = estimated
-                if engine is not None:
-                    result = engine.reallocate(believed)
-                    allocation = result.allocation
-                    mode = result.mode
-                    warm_moves = result.warm_moves
-                    cache_hit = result.mode == "cache"
-                else:
-                    allocation = allocator.allocate(
-                        believed, num_channels
-                    ).allocation
-                    mode = "cold"
-                program = BroadcastProgram(allocation, bandwidth=bandwidth)
-                reallocated = True
-    return reports
+        for epoch in range(epochs)
+    ]

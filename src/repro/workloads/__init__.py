@@ -7,13 +7,7 @@ from repro.workloads.catalog import (
     class_of,
     per_class_summary,
 )
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayEstimator,
-    DecayedCounts,
-    estimate_database,
-    profile_l1_error,
-)
+from repro.workloads.estimator import DecayedCounts, profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.trace import (
     RequestTrace,
@@ -54,10 +48,7 @@ __all__ = [
     "save_trace_jsonl",
     "load_trace_jsonl",
     "iter_trace_jsonl",
-    "CountEstimator",
-    "DecayEstimator",
     "DecayedCounts",
-    "estimate_database",
     "profile_l1_error",
     "ContentClass",
     "MULTIMEDIA_CLASSES",

@@ -1,29 +1,14 @@
-"""Access-frequency estimation from request traces.
+"""Access-frequency estimation from request streams.
 
 Closes the loop of the paper's Figure 1: the broadcast program is
-generated from access frequencies, and these estimators produce the
-frequencies from what the server actually observes.
-
-Two trace estimators are provided:
-
-* :class:`CountEstimator` — maximum-likelihood relative counts with
-  additive (Laplace) smoothing.  Smoothing matters: the analytical model
-  requires every catalogued item to have a positive frequency, and a
-  finite trace may simply miss cold items.
-* :class:`DecayEstimator` — exponentially time-decayed counts.  Under
-  drifting popularity, recent requests carry more signal; the half-life
-  controls the memory.
-
-Both return frequencies aligned with a catalogue (an iterable of item
-ids) and normalised to 1, ready for
-:func:`estimate_database` to splice onto known item sizes.
-
-The live service (:mod:`repro.service`) cannot keep a whole trace, so it
-streams requests into :class:`DecayedCounts`: one decayed count per
-catalogue item, absorbing each chunk of requests in one vectorised
-pass.  The allocator needs a
-dense length-N profile at every epoch anyway, so O(N) state is the
-floor for any estimator feeding it.
+generated from access frequencies, and :class:`DecayedCounts` produces
+the frequencies from what the server actually observes.  It holds one
+exponentially decayed count per catalogue item and absorbs each chunk
+of requests in one vectorised pass; under drifting popularity recent
+requests carry more signal, and the half-life controls the memory.
+``half_life=math.inf`` counts plain occurrences (the maximum-likelihood
+estimate).  The allocator needs a dense length-N profile at every
+epoch anyway, so O(N) state is the floor for any estimator feeding it.
 
 **The zero-frequency edge case.**  An item the stream never requested
 is still in the catalogue, and with ``smoothing = 0`` its estimated
@@ -32,13 +17,13 @@ depths: :class:`~repro.core.item.DataItem` refuses ``frequency <= 0``
 on construction (``InvalidItemError``), and even if a zero slipped
 through, Eq. (1)'s frequency-weighted average over a zero-frequency
 channel is undefined (``InvalidAllocationError`` in
-:mod:`repro.core.cost`).  :func:`estimate_database` therefore checks
-the estimate up front and raises a :class:`SimulationError` naming the
-unobserved items and the fix — the smoothing floor: any ``smoothing >
-0`` gives every catalogued item a positive pseudo-count, at the price
-of biasing hot items slightly down.  The streaming path
-(:meth:`DecayedCounts.estimate_profile`) makes the same trade with the
-same parameter.  Behaviour is pinned by
+:mod:`repro.core.cost`).  The live service
+(:class:`~repro.service.BroadcastService`) therefore checks each
+estimated profile before building a database from it and raises a
+:class:`SimulationError` naming the unobserved items and the fix — the
+smoothing floor: any ``smoothing > 0`` gives every catalogued item a
+positive pseudo-count, at the price of biasing hot items slightly
+down.  Behaviour is pinned by
 ``tests/test_estimator.py::TestZeroFrequencyEdgeCases``.
 
 This module is an extension beyond the paper (DESIGN.md §6).
@@ -47,124 +32,13 @@ This module is an extension beyond the paper (DESIGN.md §6).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.database import BroadcastDatabase
-from repro.core.item import DataItem
 from repro.exceptions import SimulationError
-from repro.workloads.trace import RequestTrace
 
-__all__ = [
-    "CountEstimator",
-    "DecayEstimator",
-    "DecayedCounts",
-    "estimate_database",
-    "profile_l1_error",
-]
-
-
-class CountEstimator:
-    """Smoothed maximum-likelihood frequency estimation.
-
-    Parameters
-    ----------
-    smoothing:
-        The additive pseudo-count per catalogue item (Laplace α).  With
-        ``α = 0`` an unseen item would get frequency 0, which the model
-        rejects; the default of 1 is the classical rule-of-succession
-        choice.
-    """
-
-    def __init__(self, *, smoothing: float = 1.0) -> None:
-        if smoothing < 0:
-            raise SimulationError(
-                f"smoothing must be >= 0, got {smoothing}"
-            )
-        self._smoothing = smoothing
-
-    def estimate(
-        self, trace: RequestTrace, catalogue: Sequence[str]
-    ) -> Dict[str, float]:
-        """Frequency per catalogue item id (sums to 1)."""
-        _check_catalogue(catalogue)
-        counts = trace.counts()
-        unknown = set(counts) - set(catalogue)
-        if unknown:
-            raise SimulationError(
-                f"trace references items outside the catalogue: "
-                f"{sorted(unknown)[:5]}"
-            )
-        alpha = self._smoothing
-        total = len(trace) + alpha * len(catalogue)
-        if total <= 0:
-            raise SimulationError(
-                "cannot estimate from an empty trace with zero smoothing"
-            )
-        return {
-            item_id: (counts.get(item_id, 0) + alpha) / total
-            for item_id in catalogue
-        }
-
-
-class DecayEstimator:
-    """Exponentially decayed counts for drifting popularity.
-
-    A request at time ``t`` observed at reference time ``T`` contributes
-    weight ``0.5 ** ((T - t) / half_life)``.  The reference time is the
-    trace's last timestamp, so the newest request always has weight 1.
-
-    Parameters
-    ----------
-    half_life:
-        Time for a request's weight to halve (same unit as trace
-        timestamps).  Must be positive.
-    smoothing:
-        Additive pseudo-weight per catalogue item, as in
-        :class:`CountEstimator`.
-    """
-
-    def __init__(self, half_life: float, *, smoothing: float = 1.0) -> None:
-        if not (half_life > 0 and math.isfinite(half_life)):
-            raise SimulationError(
-                f"half_life must be positive and finite, got {half_life}"
-            )
-        if smoothing < 0:
-            raise SimulationError(
-                f"smoothing must be >= 0, got {smoothing}"
-            )
-        self._half_life = half_life
-        self._smoothing = smoothing
-
-    def estimate(
-        self, trace: RequestTrace, catalogue: Sequence[str]
-    ) -> Dict[str, float]:
-        """Decay-weighted frequency per catalogue item id (sums to 1)."""
-        _check_catalogue(catalogue)
-        weights: Dict[str, float] = {item_id: 0.0 for item_id in catalogue}
-        if len(trace):
-            reference = trace[len(trace) - 1].timestamp
-            rate = math.log(2.0) / self._half_life
-            for record in trace:
-                if record.item_id not in weights:
-                    raise SimulationError(
-                        f"trace references item {record.item_id!r} outside "
-                        "the catalogue"
-                    )
-                weights[record.item_id] += math.exp(
-                    -rate * (reference - record.timestamp)
-                )
-        alpha = self._smoothing
-        total = math.fsum(weights.values()) + alpha * len(catalogue)
-        if total <= 0:
-            raise SimulationError(
-                "cannot estimate from an empty trace with zero smoothing"
-            )
-        return {
-            item_id: (weight + alpha) / total
-            for item_id, weight in weights.items()
-        }
+__all__ = ["DecayedCounts", "profile_l1_error"]
 
 
 #: Rescale the counts once the inflation exponent passes this: 2**512 is
@@ -176,9 +50,8 @@ _RESCALE_EXPONENT = 512.0
 class DecayedCounts:
     """Exponentially decayed request counts, one per catalogue item.
 
-    The streaming form of :class:`DecayEstimator`: a request at stream
-    time ``t`` read at reference time ``T`` weighs
-    ``0.5 ** ((T - t) / half_life)``, but the counts absorb requests as
+    A request at stream time ``t`` read at reference time ``T`` weighs
+    ``0.5 ** ((T - t) / half_life)``, and the counts absorb requests as
     they arrive instead of walking a stored trace.  An update needs no
     pass over the counts, by *inflation*: an arrival adds
     ``2 ** ((t - origin) / half_life)`` and a query deflates by
@@ -296,8 +169,7 @@ class DecayedCounts:
 
         Each item gets ``(count + smoothing) / (Σ counts + smoothing ·
         |catalogue|)`` with the counts decayed to ``timestamp`` (default:
-        the newest arrival, which then weighs 1 as in
-        :class:`DecayEstimator`).
+        the newest arrival, which then weighs 1).
         """
         _check_catalogue(catalogue)
         if smoothing < 0:
@@ -315,45 +187,6 @@ class DecayedCounts:
             item_id: (count + smoothing) / total
             for item_id, count in zip(catalogue, counts)
         }
-
-
-def estimate_database(
-    trace: RequestTrace,
-    sizes: Mapping[str, float],
-    *,
-    estimator: "CountEstimator | DecayEstimator | None" = None,
-) -> BroadcastDatabase:
-    """Build a broadcast database from a trace and known item sizes.
-
-    ``sizes`` is the catalogue: every item the server can broadcast,
-    with its size.  Frequencies come from the estimator (default: a
-    :class:`CountEstimator` with Laplace smoothing).
-    """
-    if not sizes:
-        raise SimulationError("the catalogue of sizes cannot be empty")
-    if estimator is None:
-        estimator = CountEstimator()
-    catalogue = list(sizes)
-    frequencies = estimator.estimate(trace, catalogue)
-    unobserved = [
-        item_id for item_id in catalogue if frequencies[item_id] <= 0.0
-    ]
-    if unobserved:
-        # Surface the modelling problem here, with a fix, rather than
-        # letting DataItem's InvalidItemError (or, later, the cost
-        # model's InvalidAllocationError for a zero-frequency channel)
-        # fire deep inside the allocation path.
-        raise SimulationError(
-            f"{len(unobserved)} catalogue item(s) were never observed in "
-            f"the trace and got frequency 0 (first: {unobserved[:3]}); the "
-            "analytical model requires every item to have positive "
-            "frequency — use an estimator with smoothing > 0"
-        )
-    items: List[DataItem] = [
-        DataItem(item_id, frequency=frequencies[item_id], size=sizes[item_id])
-        for item_id in catalogue
-    ]
-    return BroadcastDatabase(items)
 
 
 def profile_l1_error(

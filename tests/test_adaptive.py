@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import SimulationError
 from repro.simulation.adaptive import (
     EpochReport,
@@ -56,7 +55,6 @@ class TestAdaptiveSimulation:
     def reports(self, drift_db):
         return run_adaptive_simulation(
             drift_db,
-            DRPCDSAllocator(),
             num_channels=4,
             epochs=5,
             requests_per_epoch=1500,
@@ -97,10 +95,10 @@ class TestAdaptiveSimulation:
             seed=9,
         )
         adaptive = run_adaptive_simulation(
-            drift_db, DRPCDSAllocator(), adapt=True, **common
+            drift_db, adapt=True, **common
         )
         static = run_adaptive_simulation(
-            drift_db, DRPCDSAllocator(), adapt=False, **common
+            drift_db, adapt=False, **common
         )
         # Same requests in epoch 0 (identical programs and seeds).
         assert adaptive[0].measured.mean == pytest.approx(
@@ -117,7 +115,6 @@ class TestAdaptiveSimulation:
         )
         static = run_adaptive_simulation(
             drift_db,
-            DRPCDSAllocator(),
             num_channels=4,
             epochs=4,
             requests_per_epoch=500,
@@ -131,9 +128,9 @@ class TestAdaptiveSimulation:
     def test_validation(self, drift_db):
         with pytest.raises(SimulationError):
             run_adaptive_simulation(
-                drift_db, DRPCDSAllocator(), 4, epochs=0
+                drift_db, 4, epochs=0
             )
         with pytest.raises(SimulationError):
             run_adaptive_simulation(
-                drift_db, DRPCDSAllocator(), 4, requests_per_epoch=0
+                drift_db, 4, requests_per_epoch=0
             )

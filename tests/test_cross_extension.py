@@ -6,8 +6,11 @@ combinations the individual suites don't touch.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.core.database import BroadcastDatabase
 from repro.core.hetero import HeteroDRPCDSAllocator
 from repro.core.incremental import insert_item, update_frequency
 from repro.core.item import DataItem
@@ -15,7 +18,7 @@ from repro.core.scheduler import DRPCDSAllocator
 from repro.simulation.indexing import IndexedChannel
 from repro.simulation.simulator import run_broadcast_simulation
 from repro.workloads.catalog import build_catalogue
-from repro.workloads.estimator import estimate_database
+from repro.workloads.estimator import DecayedCounts
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.trace import synthesize_trace
 
@@ -27,8 +30,19 @@ class TestEstimatedProfileDownstream:
     def estimated_db(self):
         truth = generate_database(WorkloadSpec(num_items=40, seed=31))
         trace = synthesize_trace(truth, 20000, seed=1)
-        sizes = {item.item_id: item.size for item in truth.items}
-        return estimate_database(trace, sizes)
+        ids = list(truth.item_ids)
+        counts = DecayedCounts(ids, half_life=math.inf)
+        counts.add(
+            counts.rows([record.item_id for record in trace]),
+            [record.timestamp for record in trace],
+        )
+        profile = counts.estimate_profile(ids)
+        return BroadcastDatabase(
+            [
+                DataItem(item_id, frequency=profile[item_id], size=item.size)
+                for item_id, item in zip(ids, truth.items)
+            ]
+        )
 
     def test_simulation_on_estimated_program(self, estimated_db):
         allocation = DRPCDSAllocator().allocate(estimated_db, 4).allocation

@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayedCounts,
-    DecayEstimator,
-    estimate_database,
-    profile_l1_error,
-)
+from repro.service import BroadcastService
+from repro.workloads.estimator import DecayedCounts, profile_l1_error
 from repro.workloads.trace import RequestTrace, TraceRecord, synthesize_trace
 
 
@@ -28,99 +23,118 @@ def make_trace(pairs):
     return trace
 
 
+def estimate(trace, catalogue, *, half_life=math.inf, smoothing=1.0):
+    """The smoothed profile :class:`DecayedCounts` holds after ``trace``."""
+    counts = DecayedCounts(catalogue, half_life=half_life)
+    counts.add(
+        counts.rows([record.item_id for record in trace]),
+        [record.timestamp for record in trace],
+    )
+    return counts.estimate_profile(catalogue, smoothing=smoothing)
+
+
+def believed_after(trace, sizes, **kwargs):
+    """The database a service believes after serving ``trace`` as one epoch.
+
+    One more request, one epoch after the first, closes the epoch; the
+    service then estimates the profile and builds the database.
+    """
+    epoch_seconds = trace[len(trace) - 1].timestamp - trace[0].timestamp + 1.0
+    closer = TraceRecord(
+        timestamp=trace[0].timestamp + epoch_seconds, item_id=trace[0].item_id
+    )
+    service = BroadcastService(sizes, 2, epoch_seconds=epoch_seconds, **kwargs)
+    service.run([*trace, closer], max_epochs=1)
+    return service.believed
+
+
 class TestCountEstimator:
+    """Plain counting: :class:`DecayedCounts` at ``half_life=inf``."""
+
     def test_unsmoothed_relative_counts(self):
         trace = make_trace([(0, "a"), (1, "a"), (2, "b"), (3, "c")])
-        estimate = CountEstimator(smoothing=0.0).estimate(
-            trace, ["a", "b", "c"]
-        )
-        assert estimate == pytest.approx({"a": 0.5, "b": 0.25, "c": 0.25})
+        profile = estimate(trace, ["a", "b", "c"], smoothing=0.0)
+        assert profile == pytest.approx({"a": 0.5, "b": 0.25, "c": 0.25})
 
     def test_smoothing_gives_unseen_items_mass(self):
         trace = make_trace([(0, "a")])
-        estimate = CountEstimator(smoothing=1.0).estimate(trace, ["a", "b"])
-        assert estimate["b"] > 0
-        assert estimate["a"] > estimate["b"]
-        assert sum(estimate.values()) == pytest.approx(1.0)
+        profile = estimate(trace, ["a", "b"], smoothing=1.0)
+        assert profile["b"] > 0
+        assert profile["a"] > profile["b"]
+        assert sum(profile.values()) == pytest.approx(1.0)
 
     def test_empty_trace_with_smoothing_is_uniform(self):
-        estimate = CountEstimator().estimate(RequestTrace(), ["a", "b"])
-        assert estimate == pytest.approx({"a": 0.5, "b": 0.5})
+        profile = estimate(RequestTrace(), ["a", "b"])
+        assert profile == pytest.approx({"a": 0.5, "b": 0.5})
 
     def test_empty_trace_without_smoothing_rejected(self):
         with pytest.raises(SimulationError):
-            CountEstimator(smoothing=0.0).estimate(RequestTrace(), ["a"])
+            estimate(RequestTrace(), ["a"], smoothing=0.0)
 
     def test_foreign_items_rejected(self):
         trace = make_trace([(0, "zz")])
         with pytest.raises(SimulationError, match="outside the catalogue"):
-            CountEstimator().estimate(trace, ["a"])
+            estimate(trace, ["a"])
 
     def test_negative_smoothing_rejected(self):
         with pytest.raises(SimulationError):
-            CountEstimator(smoothing=-1.0)
+            estimate(RequestTrace(), ["a"], smoothing=-1.0)
 
     def test_duplicate_catalogue_rejected(self):
         with pytest.raises(SimulationError, match="duplicate"):
-            CountEstimator().estimate(RequestTrace(), ["a", "a"])
+            DecayedCounts(["a", "a"], half_life=math.inf)
 
     def test_recovers_true_profile_from_large_trace(self, medium_db):
         trace = synthesize_trace(medium_db, 60000, seed=0)
-        estimate = CountEstimator(smoothing=0.5).estimate(
-            trace, list(medium_db.item_ids)
-        )
+        profile = estimate(trace, list(medium_db.item_ids), smoothing=0.5)
         truth = {item.item_id: item.frequency for item in medium_db}
-        assert profile_l1_error(estimate, truth) < 0.05
+        assert profile_l1_error(profile, truth) < 0.05
 
 
 class TestDecayEstimator:
+    """Decayed counting: :class:`DecayedCounts` at a finite half-life."""
+
     def test_recent_requests_dominate(self):
         # Item "old" was popular long ago; "new" recently.
         trace = make_trace(
             [(0, "old"), (1, "old"), (2, "old"), (100, "new"), (101, "new")]
         )
-        estimate = DecayEstimator(half_life=5.0, smoothing=0.0).estimate(
-            trace, ["old", "new"]
-        )
-        assert estimate["new"] > 0.9
+        profile = estimate(trace, ["old", "new"], half_life=5.0, smoothing=0.0)
+        assert profile["new"] > 0.9
 
     def test_long_half_life_approaches_plain_counts(self):
         trace = make_trace([(0, "a"), (1, "a"), (2, "b")])
-        decayed = DecayEstimator(half_life=1e9, smoothing=0.0).estimate(
-            trace, ["a", "b"]
-        )
-        plain = CountEstimator(smoothing=0.0).estimate(trace, ["a", "b"])
+        decayed = estimate(trace, ["a", "b"], half_life=1e9, smoothing=0.0)
+        plain = estimate(trace, ["a", "b"], smoothing=0.0)
         assert decayed["a"] == pytest.approx(plain["a"], rel=1e-6)
 
     def test_normalised(self):
         trace = make_trace([(0, "a"), (10, "b"), (20, "a")])
-        estimate = DecayEstimator(half_life=7.0).estimate(
-            trace, ["a", "b", "c"]
-        )
-        assert sum(estimate.values()) == pytest.approx(1.0)
+        profile = estimate(trace, ["a", "b", "c"], half_life=7.0)
+        assert sum(profile.values()) == pytest.approx(1.0)
 
     def test_empty_trace_with_smoothing_is_uniform(self):
-        estimate = DecayEstimator(half_life=1.0).estimate(
-            RequestTrace(), ["a", "b"]
-        )
-        assert estimate == pytest.approx({"a": 0.5, "b": 0.5})
+        profile = estimate(RequestTrace(), ["a", "b"], half_life=1.0)
+        assert profile == pytest.approx({"a": 0.5, "b": 0.5})
 
-    @pytest.mark.parametrize("half_life", [0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("half_life", [0.0, -1.0])
     def test_bad_half_life(self, half_life):
         with pytest.raises(SimulationError):
-            DecayEstimator(half_life=half_life)
+            DecayedCounts(["a"], half_life=half_life)
 
     def test_foreign_items_rejected(self):
         trace = make_trace([(0, "zz")])
         with pytest.raises(SimulationError, match="outside"):
-            DecayEstimator(half_life=1.0).estimate(trace, ["a"])
+            estimate(trace, ["a"], half_life=1.0)
 
 
 class TestEstimateDatabase:
+    """The database the service builds from its estimate at a boundary."""
+
     def test_builds_normalised_database(self, medium_db):
         trace = synthesize_trace(medium_db, 5000, seed=1)
         sizes = {item.item_id: item.size for item in medium_db}
-        estimated = estimate_database(trace, sizes)
+        estimated = believed_after(trace, sizes, half_life=math.inf)
         assert len(estimated) == len(medium_db)
         assert estimated.is_normalized
         for item in estimated:
@@ -129,14 +143,12 @@ class TestEstimateDatabase:
     def test_custom_estimator(self, medium_db):
         trace = synthesize_trace(medium_db, 2000, seed=1)
         sizes = {item.item_id: item.size for item in medium_db}
-        estimated = estimate_database(
-            trace, sizes, estimator=DecayEstimator(half_life=100.0)
-        )
+        estimated = believed_after(trace, sizes, half_life=100.0)
         assert estimated.is_normalized
 
     def test_empty_catalogue_rejected(self):
         with pytest.raises(SimulationError):
-            estimate_database(RequestTrace(), {})
+            BroadcastService({}, 2)
 
     def test_allocation_quality_from_estimated_profile(self, medium_db):
         """An allocation built from a large trace is nearly as good as
@@ -146,7 +158,7 @@ class TestEstimateDatabase:
 
         trace = synthesize_trace(medium_db, 50000, seed=3)
         sizes = {item.item_id: item.size for item in medium_db}
-        estimated = estimate_database(trace, sizes)
+        estimated = believed_after(trace, sizes, half_life=math.inf)
         allocator = DRPCDSAllocator()
         from_truth = allocator.allocate(medium_db, 5).cost
         # Evaluate the estimated-profile allocation under the TRUE
@@ -195,35 +207,29 @@ class TestZeroFrequencyEdgeCases:
     With ``smoothing = 0`` an unseen catalogue item estimates to
     frequency 0, which the analytical model rejects — at item
     construction (``InvalidItemError``) and again at cost evaluation
-    (``InvalidAllocationError`` for a zero-frequency channel).
-    ``estimate_database`` now fails fast with an actionable message;
-    any ``smoothing > 0`` floors every item at a positive frequency.
+    (``InvalidAllocationError`` for a zero-frequency channel).  The
+    service fails fast at the epoch boundary with an actionable
+    message; any ``smoothing > 0`` floors every item at a positive
+    frequency.
     """
 
     def test_unsmoothed_unseen_item_estimates_to_exact_zero(self):
         trace = make_trace([(0, "a"), (1, "a")])
-        estimate = CountEstimator(smoothing=0.0).estimate(trace, ["a", "b"])
-        assert estimate["b"] == 0.0
-        decayed = DecayEstimator(half_life=5.0, smoothing=0.0).estimate(
-            trace, ["a", "b"]
-        )
+        assert estimate(trace, ["a", "b"], smoothing=0.0)["b"] == 0.0
+        decayed = estimate(trace, ["a", "b"], half_life=5.0, smoothing=0.0)
         assert decayed["b"] == 0.0
 
     def test_estimate_database_fails_fast_with_guidance(self):
         trace = make_trace([(0, "a"), (1, "a"), (2, "b")])
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         with pytest.raises(SimulationError, match="smoothing > 0"):
-            estimate_database(
-                trace, sizes, estimator=CountEstimator(smoothing=0.0)
-            )
+            believed_after(trace, sizes, smoothing=0.0)
 
     def test_error_names_the_unobserved_items(self):
         trace = make_trace([(0, "a")])
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         with pytest.raises(SimulationError, match=r"\['b', 'c'\]"):
-            estimate_database(
-                trace, sizes, estimator=CountEstimator(smoothing=0.0)
-            )
+            believed_after(trace, sizes, smoothing=0.0)
 
     def test_zero_frequency_item_rejected_at_construction(self):
         from repro.exceptions import InvalidItemError
@@ -250,9 +256,7 @@ class TestZeroFrequencyEdgeCases:
         trace = make_trace([(0, "a"), (1, "a"), (2, "b")])
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         for smoothing in (1e-9, 0.5, 1.0):
-            estimated = estimate_database(
-                trace, sizes, estimator=CountEstimator(smoothing=smoothing)
-            )
+            estimated = believed_after(trace, sizes, smoothing=smoothing)
             assert min(item.frequency for item in estimated) > 0.0
             assert estimated.is_normalized
 
@@ -296,19 +300,21 @@ class TestDecayedCounts:
     )
     @given(zipf_streams(), st.floats(min_value=0.5, max_value=50.0))
     def test_profile_matches_decay_estimator(self, stream, half_life):
-        """Streamed counts == DecayEstimator over the same stream."""
+        """Streamed counts == a direct sum of ``0.5 ** ((T - t) / h)``
+        over the same stream, ``T`` the newest arrival."""
         ids, records = stream
-        counts = DecayedCounts(ids, half_life=half_life)
-        counts.add(
-            counts.rows([record.item_id for record in records]),
-            [record.timestamp for record in records],
-        )
-        streamed = counts.estimate_profile(ids, smoothing=1.0)
-        batch = DecayEstimator(half_life=half_life, smoothing=1.0).estimate(
-            RequestTrace(records), ids
-        )
+        streamed = estimate(records, ids, half_life=half_life)
+        newest = records[-1].timestamp
+        weights = dict.fromkeys(ids, 0.0)
+        for record in records:
+            weights[record.item_id] += 0.5 ** (
+                (newest - record.timestamp) / half_life
+            )
+        total = math.fsum(weights.values()) + len(ids)
         for item_id in ids:
-            assert streamed[item_id] == pytest.approx(batch[item_id], abs=1e-9)
+            assert streamed[item_id] == pytest.approx(
+                (weights[item_id] + 1.0) / total, abs=1e-9
+            )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -342,14 +348,12 @@ class TestDecayedCounts:
 
     def test_infinite_half_life_counts_plain_occurrences(self):
         trace = make_trace([(0, "a"), (5, "a"), (900, "b")])
-        counts = DecayedCounts(["a", "b", "c"], half_life=math.inf)
-        counts.add(
-            counts.rows([record.item_id for record in trace]),
-            [record.timestamp for record in trace],
-        )
-        assert counts.estimate_profile(["a", "b", "c"]) == (
-            CountEstimator().estimate(trace, ["a", "b", "c"])
-        )
+        # Laplace-smoothed counts (2 + 1, 1 + 1, 0 + 1) over 3 + 3.
+        assert estimate(trace, ["a", "b", "c"]) == {
+            "a": 3 / 6,
+            "b": 2 / 6,
+            "c": 1 / 6,
+        }
 
     def test_rescale_keeps_profile_finite_and_normalised(self):
         """Inflation past 2**512 rescales instead of overflowing.

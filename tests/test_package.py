@@ -116,3 +116,32 @@ class TestEntryPoints:
         from repro.cli import main
 
         assert main(["list"]) == 0
+
+
+class TestImportOrder:
+    """``repro.service.serve`` imports ``RotatingDrift`` from
+    ``repro.simulation.adaptive``, whose ``run_adaptive_simulation``
+    imports the service back inside its body.  Either module imported
+    first, in a fresh interpreter, must leave both usable."""
+
+    @pytest.mark.parametrize(
+        "first", ["repro.service", "repro.simulation.adaptive"]
+    )
+    def test_either_module_imports_first(self, first):
+        code = (
+            f"import {first}\n"
+            "from repro.simulation.adaptive import RotatingDrift\n"
+            "from repro.service import BroadcastService\n"
+            "print(RotatingDrift.__module__, BroadcastService.__module__)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "repro.simulation.adaptive",
+            "repro.service.serve",
+        ]

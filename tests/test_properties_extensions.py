@@ -29,8 +29,7 @@ from repro.io import (
     database_to_json,
 )
 from repro.simulation.indexing import IndexedChannel
-from repro.workloads.estimator import CountEstimator, DecayEstimator
-from repro.workloads.trace import RequestTrace
+from repro.workloads.estimator import DecayedCounts
 
 _positive = st.floats(
     min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -193,15 +192,15 @@ class TestEstimatorProperties:
         st.floats(min_value=0.01, max_value=5.0),
     )
     def test_estimates_are_distributions(self, raw_records, smoothing):
-        trace = RequestTrace()
-        for timestamp, item in sorted(raw_records):
-            trace.record(timestamp, item)
+        records = sorted(raw_records)
         catalogue = ["a", "b", "c"]
-        for estimator in (
-            CountEstimator(smoothing=smoothing),
-            DecayEstimator(half_life=10.0, smoothing=smoothing),
-        ):
-            estimate = estimator.estimate(trace, catalogue)
+        for half_life in (math.inf, 10.0):
+            counts = DecayedCounts(catalogue, half_life=half_life)
+            counts.add(
+                counts.rows([item for _, item in records]),
+                [timestamp for timestamp, _ in records],
+            )
+            estimate = counts.estimate_profile(catalogue, smoothing=smoothing)
             assert set(estimate) == set(catalogue)
             assert all(value > 0 for value in estimate.values())
             assert math.fsum(estimate.values()) == pytest.approx(1.0)
