@@ -1,7 +1,8 @@
-"""Substrate benchmark: discrete-event simulator throughput + validation.
+"""Substrate benchmark: simulator throughput + validation.
 
-Not a paper figure — this measures the event kernel's request
-throughput and re-validates the analytical model (Eq. 2) against
+Not a paper figure — this measures the request throughput of the
+closed-form production simulation and of the event-driven reference it
+is held to, and re-validates the analytical model (Eq. 2) against
 measured waiting times under benchmark conditions.
 """
 
@@ -13,6 +14,7 @@ from benchmarks.conftest import save_report
 from repro.analysis.tables import format_table
 from repro.core.scheduler import make_allocator
 from repro.simulation.simulator import run_broadcast_simulation
+from repro.verify.reference import simulate_reference
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +31,21 @@ def test_simulator_throughput(benchmark, allocation):
         rounds=3,
         iterations=1,
     )
-    assert report.events_processed == 40000
+    assert report.num_requests == 20000
+
+
+def test_reference_throughput(benchmark, allocation):
+    report, events = benchmark.pedantic(
+        simulate_reference,
+        args=(allocation,),
+        kwargs={"num_requests": 20000, "seed": 0},
+        rounds=3,
+        iterations=1,
+    )
+    assert events == 40000
+    assert report == run_broadcast_simulation(
+        allocation, num_requests=20000, seed=0
+    )
 
 
 def test_model_validation_report(benchmark, allocation):

@@ -17,7 +17,7 @@ matters *which* group lands on *which* channel.  This example compares:
 3. the full bandwidth-aware pipeline (`HeteroDRPCDSAllocator`),
 
 all evaluated with the generalised waiting-time model of
-`repro.core.hetero` and cross-checked by discrete-event simulation.
+`repro.core.hetero` and cross-checked by simulation.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Walks the minimal end-to-end flow: synthesise a broadcast database from
 the paper's workload model (Zipf popularity, diverse sizes), run the
 paper's DRP-CDS scheduler, compare against the conventional VF^K
 baseline, and validate the analytical waiting time with the
-discrete-event simulator.
+broadcast simulator.
 """
 
 from __future__ import annotations

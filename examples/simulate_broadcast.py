@@ -4,7 +4,7 @@ Run with::
 
     python examples/simulate_broadcast.py
 
-Exercises the discrete-event substrate beyond the analytical model's
+Exercises the simulation substrate beyond the analytical model's
 assumptions:
 
 1. validates Eq. (2) under the matched Poisson workload,

@@ -9,8 +9,7 @@ Diverse Data Broadcasting Environment"* (Hung & Chen, ICDCS 2005):
 * the paper's comparators — **VF^K** and the genetic-algorithm **GOPT** —
   plus exact solvers and simple baselines,
 * Zipf/diversity workload generation,
-* a discrete-event broadcast simulator that validates the analytical
-  model, and
+* a broadcast simulator that validates the analytical model, and
 * an experiment harness regenerating every figure of the paper.
 
 Quickstart

@@ -13,8 +13,8 @@ Subcommands
     Regenerate the data behind one of the paper's figures (``sweep``
     takes the figure as ``--figure 2`` instead of a positional id).
 ``simulate``
-    Validate an allocation against the analytical model with the
-    discrete-event simulator.
+    Validate an allocation against the analytical model: serve a
+    Poisson request stream and compare the measured waiting time.
 ``shard``
     Sharded, resumable sweep execution: ``compile`` a shard manifest,
     ``run`` each shard as an independent (killable, resumable) OS
@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = subparsers.add_parser(
-        "simulate", help="validate an allocation with the event simulator"
+        "simulate",
+        help="validate an allocation: measured vs analytical waiting time",
     )
     simulate.add_argument("--items", type=int, default=60)
     simulate.add_argument("--channels", type=int, default=5)
@@ -315,15 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--requests", type=int, default=20000)
     simulate.add_argument("--algorithm", default="drp-cds")
-    simulate.add_argument(
-        "--backend",
-        choices=("python", "numpy", "auto"),
-        default="python",
-        help=(
-            "'python' = discrete-event engine; 'numpy'/'auto' = batched "
-            "vectorized fast path (identical metrics, no events)"
-        ),
-    )
 
     adaptive = subparsers.add_parser(
         "adaptive",
@@ -948,11 +940,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         outcome.allocation,
         num_requests=args.requests,
         seed=args.seed,
-        backend=args.backend,
     )
     print(f"algorithm: {args.algorithm}")
     print(f"requests simulated: {report.num_requests}")
-    print(f"events processed:   {report.events_processed}")
     print(
         f"measured waiting time:   {format_float(report.measured.mean)} "
         f"± {format_float(report.measured.ci_halfwidth)} (95% CI)"

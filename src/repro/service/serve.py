@@ -180,7 +180,7 @@ class LiveProgram:
         channels are simultaneously at a cycle start — the only instants
         a handover is allowed to occur.
         """
-        return max(channel.cycle_length for channel in self._program.channels)
+        return float(self._program.cycle_lengths.max())
 
     @property
     def pending_switch_at(self) -> Optional[float]:
@@ -259,9 +259,11 @@ class ServeEpochReport:
     ``warm_moves`` / ``cache_hit`` / ``reallocated``) describe how the
     program *serving* this epoch was obtained, so an offline adaptive
     oracle run on the same batches lines up report-for-report.
-    ``allocation`` is the program on air at the epoch's close — the one
-    ``allocation_cost`` prices — without its cached item views; its
-    ``database`` is the profile it was built from.
+    ``allocation`` is the allocation on air at the epoch's close — the
+    one ``allocation_cost`` prices — held as is: a program is arrays
+    over its index groups and builds no item views on it, so the report
+    history keeps no item objects.  Its ``database`` is the profile it
+    was built from.
     :func:`~repro.simulation.adaptive.run_adaptive_simulation` re-prices
     it under the true popularity.  It is left out of :meth:`to_dict` and
     of equality.
@@ -676,14 +678,7 @@ class BroadcastService:
                 reallocated=self._reallocated,
                 generation=self.live.generation,
                 estimator_state=self._estimator.state_size,
-                # A copy without the item views the live program built
-                # on it, so the report history holds O(N) floats per
-                # epoch rather than N item objects.
-                allocation=on_air.with_database(
-                    on_air.database.with_frequencies(
-                        on_air.database.frequencies
-                    )
-                ),
+                allocation=on_air,
                 switch_at=self._pending_switch,
             )
             self.reports.append(report)

@@ -1,8 +1,10 @@
-"""Discrete-event broadcast simulation substrate.
+"""Broadcast simulation substrate.
 
-Validates the analytical waiting-time model end-to-end: a deterministic
-event kernel drives cyclic broadcast channels under a Poisson client
-request stream and measures actual waiting times.
+Validates the analytical waiting-time model end-to-end: a Poisson client
+request stream is served on a broadcast program and the actual waiting
+times are measured.  The discrete-event kernel and the per-item channel
+are kept as the scalar reference the verification oracles hold the
+closed-form program to.
 """
 
 from repro.simulation.adaptive import (
@@ -11,7 +13,7 @@ from repro.simulation.adaptive import (
     run_adaptive_simulation,
 )
 from repro.simulation.channel import BroadcastChannel
-from repro.simulation.client import Request, RequestGenerator
+from repro.simulation.client import RequestGenerator
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event, EventPriority
 from repro.simulation.indexing import (
@@ -24,10 +26,6 @@ from repro.simulation.metrics import (
     WaitingTimeCollector,
     summarize,
 )
-from repro.simulation.batched import (
-    batched_waiting_times,
-    run_batched_simulation,
-)
 from repro.simulation.server import BroadcastProgram
 from repro.simulation.simulator import SimulationReport, run_broadcast_simulation
 
@@ -37,15 +35,12 @@ __all__ = [
     "SimulationEngine",
     "BroadcastChannel",
     "BroadcastProgram",
-    "Request",
     "RequestGenerator",
     "WaitingTimeCollector",
     "SummaryStatistics",
     "summarize",
     "SimulationReport",
     "run_broadcast_simulation",
-    "batched_waiting_times",
-    "run_batched_simulation",
     "RotatingDrift",
     "EpochReport",
     "run_adaptive_simulation",

@@ -11,6 +11,12 @@ of the next full transmission of ``x`` (a partially received
 transmission is useless) and then download it completely.  Averaged over
 a uniformly random tune-in time this gives exactly Eq. (1):
 ``E[wait] = cycle/2 + z_x / b``.
+
+This per-item, one-request-at-a-time channel is the scalar reference:
+the event-driven :func:`repro.verify.reference.simulate_reference`
+broadcasts on it, and the ``oracle.simulators`` check holds the
+array-based :class:`~repro.simulation.server.BroadcastProgram` of the
+production path to it bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +57,13 @@ class BroadcastChannel:
             raise SimulationError(
                 f"channel {channel_id} has no items to broadcast"
             )
-        if not (isinstance(bandwidth, (int, float)) and bandwidth > 0):
+        if not (
+            isinstance(bandwidth, (int, float))
+            and bandwidth > 0
+            and math.isfinite(bandwidth)
+        ):
             raise SimulationError(
-                f"bandwidth must be positive, got {bandwidth!r}"
+                f"bandwidth must be positive and finite, got {bandwidth!r}"
             )
         self.channel_id = channel_id
         self._items: Tuple[DataItem, ...] = tuple(items)

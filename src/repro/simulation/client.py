@@ -12,24 +12,14 @@ tests and one example).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.database import BroadcastDatabase
 from repro.exceptions import SimulationError
 
-__all__ = ["Request", "RequestGenerator"]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One client request: which item, and when the client tuned in."""
-
-    request_id: int
-    item_id: str
-    arrival_time: float
+__all__ = ["RequestGenerator"]
 
 
 class RequestGenerator:
@@ -45,9 +35,9 @@ class RequestGenerator:
     seed:
         RNG seed for reproducible streams.
     request_probabilities:
-        Optional override of the per-item request distribution (same
-        order as ``database.items``); must be non-negative and sum to a
-        positive value.  Used to model client populations whose actual
+        Optional override of the per-item request distribution (in
+        catalogue order); must be non-negative and sum to a positive
+        value.  Used to model client populations whose actual
         interests drifted from the collected profile.
     """
 
@@ -67,9 +57,7 @@ class RequestGenerator:
         self._rate = float(arrival_rate)
         self._rng = np.random.default_rng(seed)
         if request_probabilities is None:
-            weights = np.array(
-                [item.frequency for item in database.items], dtype=np.float64
-            )
+            weights = database.frequencies
         else:
             weights = np.asarray(request_probabilities, dtype=np.float64)
             if len(weights) != len(database):
@@ -83,7 +71,6 @@ class RequestGenerator:
                     "positive sum"
                 )
         self._probabilities = weights / weights.sum()
-        self._item_ids = list(database.item_ids)
 
     @property
     def arrival_rate(self) -> float:
@@ -91,22 +78,20 @@ class RequestGenerator:
 
     @property
     def item_ids(self) -> Sequence[str]:
-        """Item ids in draw-index order (``sample_batch`` indices)."""
-        return tuple(self._item_ids)
+        """Item ids in draw-index order (``sample_batch`` rows)."""
+        return self._database.item_ids
 
     def sample_batch(
         self, num_requests: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw the whole request stream at once, as arrays.
 
-        Returns ``(arrival_times, item_indices)``: the cumulative
-        arrival clock of every request and the index (into
-        ``database.items`` order) of the item it asks for.  This is the
-        *exact* draw sequence :meth:`generate` wraps in
-        :class:`Request` objects — one exponential batch, then one
-        choice batch, then a sequential sum — so the event-driven and
-        batched simulation paths see bitwise-identical streams for the
-        same seed.
+        Returns ``(arrival_times, rows)``: the cumulative arrival clock
+        of every request and the database row of the item it asks for —
+        one exponential batch, then one choice batch, then a sequential
+        sum.  The event-driven reference
+        (:func:`repro.verify.reference.generate_requests`) wraps these
+        very draws, so both simulators see one stream per seed.
         """
         if num_requests < 0:
             raise SimulationError(
@@ -115,18 +100,8 @@ class RequestGenerator:
         # Draw in bulk for speed; numpy choice with p handles the skew.
         gaps = self._rng.exponential(1.0 / self._rate, size=num_requests)
         picks = self._rng.choice(
-            len(self._item_ids), size=num_requests, p=self._probabilities
+            len(self._probabilities), size=num_requests, p=self._probabilities
         )
         # add.accumulate is a strictly sequential left-to-right sum, the
         # same float64 additions a per-request `clock += gap` loop does.
         return np.add.accumulate(gaps), picks
-
-    def generate(self, num_requests: int) -> Iterator[Request]:
-        """Yield ``num_requests`` requests with increasing arrival times."""
-        arrivals, picks = self.sample_batch(num_requests)
-        for request_id in range(num_requests):
-            yield Request(
-                request_id=request_id,
-                item_id=self._item_ids[int(picks[request_id])],
-                arrival_time=float(arrivals[request_id]),
-            )

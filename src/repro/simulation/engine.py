@@ -9,6 +9,9 @@ The kernel enforces the two invariants everything downstream relies on:
 * the clock never moves backwards, and
 * event execution order is fully deterministic for a fixed schedule
   (stable tie-breaking via the sequence counter).
+
+The production simulation is closed-form; this kernel drives the
+event-driven reference run of :mod:`repro.verify.reference`.
 """
 
 from __future__ import annotations

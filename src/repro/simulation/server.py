@@ -1,23 +1,33 @@
 """The broadcast server: turns an allocation into a broadcast program.
 
-The server side of Figure 1 of the paper: given a channel allocation it
-instantiates one :class:`~repro.simulation.channel.BroadcastChannel` per
-item group and routes item lookups to the carrying channel.  All
-channels share the same bandwidth (the paper's model); a per-channel
-bandwidth override is provided for the heterogeneous-bandwidth
-extension exercised by one example.
+The server side of Figure 1 of the paper.  Each channel repeats its item
+group in allocation order at bandwidth ``b``: its cycle lasts
+``Z_i / b`` seconds and item ``j`` occupies the slot
+``[offset_j, offset_j + z_j / b)`` of every cycle.  A request tuning in
+at ``t`` waits for the start of the next *full* transmission of its item
+and then downloads it, so over a uniform tune-in
+``E[wait] = cycle/2 + z/b`` (Eq. 1).
+
+A program is a handful of arrays — per item its cycle, slot offset and
+download time, per channel its cycle length and bandwidth — built
+straight from the allocation's index groups and the database's size
+array; no per-item object exists.  All channels share one bandwidth
+(the paper's model); a per-channel override serves the
+heterogeneous-bandwidth extension.  The scalar per-item channel of
+:mod:`repro.simulation.channel` is the reference these arrays are held
+to bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH
 from repro.exceptions import SimulationError
-from repro.simulation.channel import BroadcastChannel
 
 __all__ = ["BroadcastProgram"]
 
@@ -43,45 +53,67 @@ class BroadcastProgram:
         bandwidth: float = DEFAULT_BANDWIDTH,
         bandwidths: Optional[Sequence[float]] = None,
     ) -> None:
-        if bandwidths is not None and len(bandwidths) != allocation.num_channels:
+        groups = allocation.channel_index_groups
+        if bandwidths is None:
+            bandwidths = [bandwidth] * len(groups)
+        elif len(bandwidths) != len(groups):
             raise SimulationError(
-                f"got {len(bandwidths)} bandwidths for "
-                f"{allocation.num_channels} channels"
+                f"got {len(bandwidths)} bandwidths for {len(groups)} channels"
             )
+        sizes = allocation.database.sizes
+        self._cycles = np.empty(len(sizes), dtype=np.float64)
+        self._offsets = np.empty(len(sizes), dtype=np.float64)
+        self._downloads = np.empty(len(sizes), dtype=np.float64)
+        self._cycle_lengths = np.empty(len(groups), dtype=np.float64)
+        self._bandwidths = np.empty(len(groups), dtype=np.float64)
+        for index, (group, rate) in enumerate(zip(groups, bandwidths)):
+            if len(group) == 0:
+                raise SimulationError(
+                    f"channel {index} has no items to broadcast"
+                )
+            if not (
+                isinstance(rate, (int, float))
+                and rate > 0
+                and math.isfinite(rate)
+            ):
+                raise SimulationError(
+                    f"bandwidth must be positive and finite, got {rate!r}"
+                )
+            # np.cumsum over the slot durations is the sequential
+            # ``elapsed += size / bandwidth`` of a channel walking its
+            # cycle, so every offset and cycle is that walk's float.
+            slots = sizes[group] / float(rate)
+            starts = np.empty(len(slots) + 1, dtype=np.float64)
+            starts[0] = 0.0
+            np.cumsum(slots, out=starts[1:])
+            self._cycles[group] = starts[-1]
+            self._offsets[group] = starts[:-1]
+            self._downloads[group] = slots
+            self._cycle_lengths[index] = starts[-1]
+            self._bandwidths[index] = rate
         self._allocation = allocation
-        self._channels: Tuple[BroadcastChannel, ...] = tuple(
-            BroadcastChannel(
-                channel_id=index,
-                items=group,
-                bandwidth=(
-                    bandwidths[index] if bandwidths is not None else bandwidth
-                ),
-            )
-            for index, group in enumerate(allocation.channels)
-        )
-        self._channel_of: Dict[str, int] = {
-            item.item_id: index
-            for index, group in enumerate(allocation.channels)
-            for item in group
-        }
-        self._geometry: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def allocation(self) -> ChannelAllocation:
         return self._allocation
 
     @property
-    def channels(self) -> Tuple[BroadcastChannel, ...]:
-        return self._channels
+    def num_channels(self) -> int:
+        return len(self._cycle_lengths)
 
     @property
-    def num_channels(self) -> int:
-        return len(self._channels)
+    def cycle_lengths(self) -> np.ndarray:
+        """Per-channel broadcast cycle ``Z_i / b_i`` in seconds."""
+        return self._cycle_lengths
 
-    def channel_for(self, item_id: str) -> BroadcastChannel:
-        """The channel carrying ``item_id``."""
+    @property
+    def bandwidths(self) -> np.ndarray:
+        """Per-channel bandwidth ``b_i``."""
+        return self._bandwidths
+
+    def _row(self, item_id: str) -> int:
         try:
-            return self._channels[self._channel_of[item_id]]
+            return self._allocation.database.index_of(item_id)
         except KeyError:
             raise SimulationError(
                 f"no channel carries item {item_id!r}"
@@ -89,63 +121,53 @@ class BroadcastProgram:
 
     def waiting_time(self, item_id: str, tune_in: float) -> float:
         """Waiting time for a request of ``item_id`` arriving at ``tune_in``."""
-        return self.channel_for(item_id).waiting_time(item_id, tune_in)
+        if tune_in < 0 or not math.isfinite(tune_in):
+            raise SimulationError(
+                f"tune_in must be finite and >= 0, got {tune_in!r}"
+            )
+        row = self._row(item_id)
+        return float(
+            _waits(
+                self._cycles[row],
+                self._offsets[row],
+                self._downloads[row],
+                np.float64(tune_in),
+            )
+        )
 
     def waiting_times(self, rows: np.ndarray, tune_ins: np.ndarray) -> np.ndarray:
         """Waiting time of every request ``(rows[k], tune_ins[k])`` at once.
 
         ``rows`` are positions in the allocation's database and
-        ``tune_ins`` finite, non-negative request times.  The closed
-        form of :meth:`BroadcastChannel.next_transmission_start`, with
-        the same float operations in the same order, so every wait is
-        bit for bit :meth:`waiting_time`'s: a request tuning in at ``t``
-        waits for the next *full* transmission of its item (slot starts
-        at ``offset + n·cycle``) and then downloads it completely.
+        ``tune_ins`` finite, non-negative request times.  Slot starts
+        are ``offset + n·cycle`` for ``n ≥ 0``; a request waits for the
+        first start at or after its tune-in, then downloads the item.
         """
-        cycles, offsets, downloads = self._item_geometry()
-        t = np.asarray(tune_ins, dtype=np.float64)
-        cycle = cycles[rows]
-        offset = offsets[rows]
-        # Ceil of the elapsed cycle fraction, then the round-down guard
-        # for a computed start that float error lands just before t.
-        start = offset + np.ceil((t - offset) / cycle) * cycle
-        start = np.where(t <= offset, offset, start)
-        start = np.where(start < t, start + cycle, start)
-        return (start + downloads[rows]) - t
-
-    def _item_geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-item (cycle, slot offset, download time) in database order.
-
-        Built once per program off the allocation's index groups and
-        the database's size array.  ``np.cumsum`` over the per-slot
-        durations is the channel's sequential ``elapsed += size /
-        bandwidth``, so every offset and cycle length is bit for bit
-        the value :class:`BroadcastChannel` holds.
-        """
-        if self._geometry is None:
-            sizes = self._allocation.database.sizes
-            cycles = np.empty(len(sizes), dtype=np.float64)
-            offsets = np.empty(len(sizes), dtype=np.float64)
-            downloads = np.empty(len(sizes), dtype=np.float64)
-            for channel, group in zip(
-                self._channels, self._allocation.channel_index_groups
-            ):
-                slots = sizes[group] / channel.bandwidth
-                starts = np.empty(len(slots) + 1, dtype=np.float64)
-                starts[0] = 0.0
-                np.cumsum(slots, out=starts[1:])
-                cycles[group] = starts[-1]
-                offsets[group] = starts[:-1]
-                downloads[group] = slots
-            self._geometry = (cycles, offsets, downloads)
-        return self._geometry
+        return _waits(
+            self._cycles[rows],
+            self._offsets[rows],
+            self._downloads[rows],
+            np.asarray(tune_ins, dtype=np.float64),
+        )
 
     def expected_waiting_time(self, item_id: str) -> float:
         """Analytical per-item expected waiting time (Eq. 1)."""
-        return self.channel_for(item_id).expected_waiting_time(item_id)
+        row = self._row(item_id)
+        return float(self._cycles[row]) / 2.0 + float(self._downloads[row])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BroadcastProgram(K={self.num_channels}, "
-            f"items={len(self._channel_of)})"
+            f"items={len(self._cycles)})"
         )
+
+
+def _waits(cycle, offset, download, t):
+    """Wait until the first slot start ``offset + n·cycle >= t``, then
+    the download — elementwise over arrays or on scalars alike."""
+    # Ceil of the elapsed cycle fraction, then the round-down guard
+    # for a computed start that float error lands just before t.
+    start = offset + np.ceil((t - offset) / cycle) * cycle
+    start = np.where(t <= offset, offset, start)
+    start = np.where(start < t, start + cycle, start)
+    return (start + download) - t

@@ -1,24 +1,18 @@
 """High-level simulation driver: validate allocations end-to-end.
 
-:func:`run_broadcast_simulation` wires the pieces together — the event
-kernel, a broadcast program, a Poisson request stream and a metrics
-collector — and reports the *measured* average waiting time next to the
-*analytical* :math:`W_b` of Eq. (2).  The law of large numbers says the
-two converge; the property-based tests assert it within confidence
-bounds for arbitrary allocations.
+:func:`run_broadcast_simulation` draws a Poisson request stream, serves
+every request on a broadcast program and reports the *measured* average
+waiting time next to the *analytical* :math:`W_b` of Eq. (2).  The law
+of large numbers says the two converge; the property-based tests assert
+it within confidence bounds for arbitrary allocations.
 
-Each request becomes an ARRIVAL event; its handler asks the carrying
-channel for the completion time of the next full transmission and
-schedules a DELIVERY event there, whose handler records the waiting
-time.  The event kernel is exercised for real (two events per request,
-interleaved across channels), while channel timing stays exact.
-
-Static scenarios also have a batched fast path
-(:mod:`repro.simulation.batched`) that computes every request's waiting
-time in one vectorized pass — select it with ``backend="numpy"``
-(``"auto"`` picks it whenever numpy is importable).  Measured statistics
-are bitwise-identical to the event-driven run; only
-``events_processed`` differs (0, since no events are simulated).
+A static program makes each request's wait a closed-form function of
+its tune-in instant and its channel's cycle geometry
+(:meth:`~repro.simulation.server.BroadcastProgram.waiting_times`), so
+the whole stream is a handful of numpy gathers.  The discrete-event
+form of the same run — two heap events per request on per-item
+channels — is :func:`repro.verify.reference.simulate_reference`, which
+the ``oracle.simulators`` check holds this driver to bit for bit.
 """
 
 from __future__ import annotations
@@ -26,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH, average_waiting_time
 from repro.exceptions import SimulationError
-from repro.simulation.client import Request, RequestGenerator
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import EventPriority
-from repro.simulation.metrics import SummaryStatistics, WaitingTimeCollector
+from repro.simulation.client import RequestGenerator
+from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
 
 __all__ = ["SimulationReport", "run_broadcast_simulation"]
@@ -53,8 +47,6 @@ class SimulationReport:
         request distribution matches the database profile.
     num_requests:
         Completed requests.
-    events_processed:
-        Total events the kernel executed (2 × requests).
     per_item:
         Empirical summaries per item id (items never requested are
         absent).
@@ -63,7 +55,6 @@ class SimulationReport:
     measured: SummaryStatistics
     analytical_waiting_time: float
     num_requests: int
-    events_processed: int
     per_item: Dict[str, SummaryStatistics]
 
     @property
@@ -86,7 +77,6 @@ def run_broadcast_simulation(
     arrival_rate: float = 1.0,
     seed: int = 0,
     request_probabilities: Optional[Sequence[float]] = None,
-    backend: str = "python",
 ) -> SimulationReport:
     """Simulate a broadcast program under a Poisson request stream.
 
@@ -109,34 +99,11 @@ def run_broadcast_simulation(
     request_probabilities:
         Optional per-item request distribution override (profile
         mismatch experiments).
-    backend:
-        ``"python"`` (default) drives the discrete-event engine —
-        two events per request, ``events_processed`` reported.
-        ``"numpy"`` / ``"auto"`` use the batched closed-form fast path
-        of :mod:`repro.simulation.batched`: identical measured
-        statistics, ``events_processed = 0``, roughly an order of
-        magnitude faster at large ``num_requests``.
 
     Returns
     -------
     SimulationReport
     """
-    if backend not in ("python", "numpy", "auto"):
-        raise SimulationError(
-            f"backend must be 'python', 'numpy' or 'auto', got {backend!r}"
-        )
-    if backend in ("numpy", "auto"):
-        from repro.simulation.batched import run_batched_simulation
-
-        return run_batched_simulation(
-            allocation,
-            bandwidth=bandwidth,
-            bandwidths=bandwidths,
-            num_requests=num_requests,
-            arrival_rate=arrival_rate,
-            seed=seed,
-            request_probabilities=request_probabilities,
-        )
     if num_requests < 1:
         raise SimulationError(f"num_requests must be >= 1, got {num_requests}")
     program = BroadcastProgram(
@@ -148,92 +115,67 @@ def run_broadcast_simulation(
         seed=seed,
         request_probabilities=request_probabilities,
     )
-    engine = SimulationEngine()
-    collector = WaitingTimeCollector()
-
-    def make_arrival_handler(request: Request):
-        def on_arrival() -> None:
-            completion = program.channel_for(request.item_id).delivery_completion(
-                request.item_id, engine.now
-            )
-
-            def on_delivery() -> None:
-                collector.record(
-                    request.item_id, engine.now - request.arrival_time
-                )
-
-            engine.schedule_at(
-                completion, on_delivery, priority=EventPriority.DELIVERY
-            )
-
-        return on_arrival
-
-    for request in generator.generate(num_requests):
-        engine.schedule_at(
-            request.arrival_time,
-            make_arrival_handler(request),
-            priority=EventPriority.ARRIVAL,
-        )
-
     with obs.span(
-        "sim.run",
-        backend="python",
-        requests=num_requests,
-        channels=allocation.num_channels,
+        "sim.run", requests=num_requests, channels=allocation.num_channels
     ) as span:
-        engine.run()
-        per_item = {
-            item_id: collector.for_item(item_id)
-            for item_id in collector.item_ids
+        arrivals, picks = generator.sample_batch(num_requests)
+        waits = program.waiting_times(picks, arrivals)
+        if float(waits.min()) < 0:
+            raise SimulationError(
+                f"waiting time cannot be negative, got {float(waits.min())}"
+            )
+
+        # Group waits by item without a per-request Python loop: one
+        # stable sort, then contiguous slices.  summarize() sums with
+        # exact fsum, so the order within a group is moot.
+        order = np.argsort(picks, kind="stable")
+        sorted_picks = picks[order]
+        cuts = np.flatnonzero(np.diff(sorted_picks)) + 1
+        heads = np.concatenate(([0], cuts))
+        item_id_at = allocation.database.item_id_at
+        per_item: Dict[str, SummaryStatistics] = {
+            item_id_at(int(sorted_picks[head])): summarize(group.tolist())
+            for head, group in zip(heads, np.split(waits[order], cuts))
         }
+
         report = SimulationReport(
-            measured=collector.overall(),
+            measured=summarize(waits.tolist()),
             analytical_waiting_time=average_waiting_time(
                 allocation, bandwidth=bandwidth
             ),
-            num_requests=collector.count,
-            events_processed=engine.processed_events,
-            per_item={k: v for k, v in per_item.items() if v is not None},
+            num_requests=int(num_requests),
+            per_item=per_item,
         )
         span.update(
-            events_processed=report.events_processed,
             requests_served=report.num_requests,
             measured_mean=report.measured.mean,
         )
-        _record_simulation_metrics(report, allocation)
+        _record_simulation_metrics(allocation, picks)
     return report
 
 
 def _record_simulation_metrics(
-    report: "SimulationReport", allocation: ChannelAllocation
+    allocation: ChannelAllocation, picks: np.ndarray
 ) -> None:
     """Bump the ``sim.*`` counters and per-channel utilization gauges.
 
     Utilization here is each channel's share of the served requests —
     the broadcast medium itself is always transmitting, so demand share
     is the quantity that distinguishes hot channels from cold ones.
-    Gauges are per channel index; everything is computed from the
-    report's per-item summaries (no per-event bookkeeping).
+    Gauges are per channel index; ``picks`` are the served requests'
+    database rows.
     """
     registry = obs.get_metrics()
     if not registry.enabled:
         return
+    total = len(picks)
     registry.counter("sim.runs").inc()
-    registry.counter("sim.requests_served").inc(report.num_requests)
-    registry.counter("sim.events_processed").inc(report.events_processed)
-    total = report.num_requests
-    if not total:
-        return
-    channel_of: Dict[str, int] = {}
-    for channel in range(allocation.num_channels):
-        for item in allocation.channel_items(channel):
-            channel_of[item.item_id] = channel
-    served = [0] * allocation.num_channels
-    for item_id, summary in report.per_item.items():
-        channel = channel_of.get(item_id)
-        if channel is not None:
-            served[channel] += summary.count
-    for channel, count in enumerate(served):
+    registry.counter("sim.requests_served").inc(total)
+    served = np.bincount(
+        allocation.assignment_array()[picks],
+        minlength=allocation.num_channels,
+    )
+    for channel, count in enumerate(served.tolist()):
         registry.gauge("sim.channel_utilization", channel=channel).set(
             count / total
         )

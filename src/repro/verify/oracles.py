@@ -3,10 +3,11 @@
 The repo deliberately keeps redundant implementations of each layer —
 the production numpy kernels vs the scalar references in
 :mod:`repro.verify.reference`, serial vs process-pool sweeps,
-event-driven vs batched simulation, cold vs warm-started refinement.  Each pair is
-documented as producing identical results (bitwise, except where a
-tolerance is declared below), which turns every pair into a free test
-oracle: run both halves on the same seeded input and diff.
+closed-form vs event-driven simulation, cold vs warm-started
+refinement.  Each pair is documented as producing identical results
+(bitwise, except where a tolerance is declared below), which turns every
+pair into a free test oracle: run both halves on the same seeded input
+and diff.
 
 Every oracle returns ``List[Violation]`` (empty = the pair agrees), the
 same contract as :mod:`repro.verify.invariants`, so the fuzzer and the
@@ -25,9 +26,10 @@ The four oracle pairs (named ``oracle.<slug>``):
     full scan vs the dirty-pair incremental index — identical move
     sequences (every float), costs and groupings, cold and seeded.
 ``simulators``
-    Event-driven engine vs the batched fast path — measured statistics
-    bitwise identical (``events_processed`` is exempt: the batched path
-    reports 0 by design).
+    The closed-form production simulation vs the event-driven reference
+    (:func:`~repro.verify.reference.simulate_reference`) — measured
+    statistics bitwise identical, and the reference executed exactly
+    two events per request.
 ``serial-parallel``
     ``run_experiment`` with ``workers=None`` vs ``workers=2`` — rows
     bitwise identical except wall-clock ``elapsed`` aggregates.
@@ -62,6 +64,7 @@ from repro.verify.reference import (
     best_split_reference,
     cds_refine_reference,
     contiguous_quadratic,
+    simulate_reference,
 )
 
 __all__ = [
@@ -431,48 +434,53 @@ def oracle_simulators(
     num_requests: int = 400,
     seed: int = 0,
 ) -> List[Violation]:
-    """Event-driven and batched simulation agree bitwise on statistics.
-
-    ``events_processed`` is exempt by design (the batched path does not
-    enqueue events and reports 0).
-    """
+    """Production and event-driven simulation agree bitwise on statistics."""
     name = "oracle.simulators"
     violations: List[Violation] = []
-    engine = run_broadcast_simulation(
-        allocation, num_requests=num_requests, seed=seed, backend="python"
+    reference, events = simulate_reference(
+        allocation, num_requests=num_requests, seed=seed
     )
-    batched = run_broadcast_simulation(
-        allocation, num_requests=num_requests, seed=seed, backend="numpy"
+    production = run_broadcast_simulation(
+        allocation, num_requests=num_requests, seed=seed
     )
-    if engine.measured != batched.measured:
+    if events != 2 * num_requests:
         violations.append(
             _violation(
                 name,
-                f"measured summaries diverge: engine {engine.measured} vs "
-                f"batched {batched.measured}",
+                f"reference executed {events} events for {num_requests} "
+                "requests, not two per request",
             )
         )
-    if engine.analytical_waiting_time != batched.analytical_waiting_time:
+    if reference.measured != production.measured:
         violations.append(
             _violation(
                 name,
-                f"analytical W_b diverges: {engine.analytical_waiting_time!r}"
-                f" vs {batched.analytical_waiting_time!r}",
+                f"measured summaries diverge: reference "
+                f"{reference.measured} vs production {production.measured}",
             )
         )
-    if engine.num_requests != batched.num_requests:
+    if reference.analytical_waiting_time != production.analytical_waiting_time:
         violations.append(
             _violation(
                 name,
-                f"request counts diverge: {engine.num_requests} vs "
-                f"{batched.num_requests}",
+                f"analytical W_b diverges: {reference.analytical_waiting_time!r}"
+                f" vs {production.analytical_waiting_time!r}",
             )
         )
-    if engine.per_item != batched.per_item:
+    if reference.num_requests != production.num_requests:
+        violations.append(
+            _violation(
+                name,
+                f"request counts diverge: {reference.num_requests} vs "
+                f"{production.num_requests}",
+            )
+        )
+    if reference.per_item != production.per_item:
+        ours, theirs = reference.per_item, production.per_item
         mismatched = sorted(
             item_id
-            for item_id in set(engine.per_item) | set(batched.per_item)
-            if engine.per_item.get(item_id) != batched.per_item.get(item_id)
+            for item_id in set(ours) | set(theirs)
+            if ours.get(item_id) != theirs.get(item_id)
         )
         violations.append(
             _violation(

@@ -25,7 +25,7 @@ import pytest
 from repro import obs
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import AllocationCache, IncrementalAllocator
-from repro.core.item import DataItem
+from repro.core.item import DataItem, items_created
 from repro.exceptions import SimulationError
 from repro.service import (
     BroadcastService,
@@ -161,6 +161,18 @@ class TestOracleParity:
             assert report.warm_moves == warm_moves
         # One decayed count per catalogue item.
         assert all(report.estimator_state == len(sizes) for report in reports)
+
+
+class TestNoItemViews:
+    def test_served_run_with_handovers_creates_no_data_items(self):
+        db = generate_database(WorkloadSpec(num_items=40, seed=3))
+        sizes = dict(zip(db.item_ids, db.sizes.tolist()))
+        records = make_stream(db, epochs=6)
+        before = items_created()
+        service = make_service(sizes, db)
+        service.run(iter(records), max_epochs=6)
+        assert service.live.handovers
+        assert items_created() == before
 
 
 class TestHandoverNeverTears:
