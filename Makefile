@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify-fuzz bench bench-kernels bench-incr bench-parallel bench-shards bench-obs bench-serve bench-check trace-smoke shard-smoke serve-smoke figures report examples clean
+.PHONY: install test test-fast verify-fuzz bench bench-kernels bench-incr bench-parallel bench-shards bench-obs bench-serve bench-check trace-smoke shard-smoke serve-smoke figures figure-parity report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -123,6 +123,23 @@ shard-smoke:
 figures:
 	for fig in figure2 figure3 figure4 figure5 figure6 figure7; do \
 		$(PYTHON) -m repro figure $$fig --quiet --csv benchmarks/results/$$fig.csv; \
+	done
+
+# Regenerate Figures 2-5 into a temporary directory and require every
+# non-timing column (sweep value, algorithm, mean/std cost, mean/std
+# wait, replications) to match the committed CSVs byte for byte: the
+# allocators' outputs must not drift.
+figure-parity:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for fig in figure2 figure3 figure4 figure5; do \
+		$(PYTHON) -m repro figure $$fig --quiet --csv $$tmp/$$fig.csv \
+			> /dev/null || exit 1; \
+		cut -d, -f1-6,9 benchmarks/results/$$fig.csv > $$tmp/want.csv; \
+		cut -d, -f1-6,9 $$tmp/$$fig.csv > $$tmp/got.csv; \
+		diff $$tmp/want.csv $$tmp/got.csv > /dev/null \
+			|| { echo "$$fig: rows differ from benchmarks/results/$$fig.csv"; \
+			     diff $$tmp/want.csv $$tmp/got.csv | head -20; exit 1; }; \
+		echo "$$fig: $$(($$(wc -l < $$tmp/got.csv) - 1)) rows match"; \
 	done
 
 report:

@@ -27,7 +27,7 @@ def test_figure6_series(benchmark):
     save_report("figure6", result.to_text("mean_elapsed_seconds", precision=5))
 
     # GOPT massively slower at every K (loose factor absorbs timing
-    # noise on cold first runs; typical ratios are 15-80x).
+    # noise on cold first runs; typical ratios are 34-83x).
     for value in result.sweep_values():
         drpcds = result.cell(value, "drp-cds").mean_elapsed_seconds
         gopt = result.cell(value, "gopt").mean_elapsed_seconds

@@ -25,7 +25,7 @@ def test_figure7_series(benchmark):
 
     values = result.sweep_values()
     # GOPT massively slower at every N (loose factor absorbs timing
-    # noise on cold first runs; typical ratios are 15-30x).
+    # noise on cold first runs; typical ratios are 30-65x).
     for value in values:
         drpcds = result.cell(value, "drp-cds").mean_elapsed_seconds
         gopt = result.cell(value, "gopt").mean_elapsed_seconds

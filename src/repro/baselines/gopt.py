@@ -33,10 +33,21 @@ the role the paper assigns it:
 
 Neither changes the complexity picture: runtime stays dominated by the
 GA generations.
+
+Random-stream contract: the draws keep a fixed order, shape and dtype.
+First comes the ``int64`` initial population; then, per generation, the
+tournament entrants, the crossover gene mask and skip vector, the
+mutation mask and the full-shape ``int64`` replacements.  After the
+initial draw and after each generation's replacements, the repair draws
+one ``choice`` per gene it moves (rows, then empty channels, in
+ascending order).  A result is thus a function of seed and instance,
+and the numpy work around the draws may change freely.  Genes are
+``int8`` for ``K ≤ 128`` (every paper shape), else ``intp``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,9 +57,23 @@ from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
 from repro.core.database import BroadcastDatabase
 from repro.core.scheduler import Allocator
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, InvalidDatabaseError
 
 __all__ = ["GAParameters", "GOPTAllocator"]
+
+#: Rows of :func:`_heuristic_seeds`: DRP, DRP-CDS, contiguous DP, greedy.
+HEURISTIC_SEEDS = 4
+
+#: ``(field, low, high)``: the closed range each set value must lie in.
+_PARAMETER_RANGES = (
+    ("population_size", 1, math.inf),
+    ("generations", 0, math.inf),
+    ("tournament_size", 1, math.inf),
+    ("crossover_rate", 0.0, 1.0),
+    ("mutation_rate", 0.0, 1.0),
+    ("elite_count", 0, math.inf),
+    ("stagnation_limit", 1, math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +103,9 @@ class GAParameters:
         Stop early after this many generations without improvement;
         ``None`` disables early stopping (deterministic runtime, the
         setting used by the execution-time figures).
+
+    An out-of-range value raises :class:`InvalidDatabaseError` naming
+    the field.
     """
 
     population_size: Optional[int] = None
@@ -87,6 +115,14 @@ class GAParameters:
     mutation_rate: float = 0.02
     elite_count: int = 2
     stagnation_limit: Optional[int] = 80
+
+    def __post_init__(self) -> None:
+        for name, low, high in _PARAMETER_RANGES:
+            value = getattr(self, name)
+            if value is not None and not low <= value <= high:
+                raise InvalidDatabaseError(
+                    f"{name} must lie in [{low}, {high}], got {value}"
+                )
 
     def resolved_population(self, num_items: int) -> int:
         if self.population_size is not None:
@@ -114,6 +150,7 @@ class GOPTAllocator(Allocator):
         Inject the DRP, DRP-CDS, contiguous-DP and greedy solutions into
         the initial population (default true).  Guarantees GOPT is never
         worse than the best known heuristic, as befits an optimum proxy.
+        Needs a population of at least :data:`HEURISTIC_SEEDS`.
     """
 
     name = "gopt"
@@ -140,20 +177,21 @@ class GOPTAllocator(Allocator):
                 f"cannot allocate {n} item(s) to {num_channels} non-empty channels"
             )
         params = self._parameters
-        rng = np.random.default_rng(self._seed)
-        frequencies = np.array(
-            [item.frequency for item in database.items], dtype=np.float64
-        )
-        sizes = np.array([item.size for item in database.items], dtype=np.float64)
-
         pop_size = params.resolved_population(n)
         generations = params.resolved_generations(n)
+        if self._seed_with_heuristics and pop_size < HEURISTIC_SEEDS:
+            raise InvalidDatabaseError(
+                f"population_size must be >= {HEURISTIC_SEEDS} with "
+                f"heuristic seeding, got {pop_size}"
+            )
+        rng = np.random.default_rng(self._seed)
+        fitness = _Fitness(database.frequencies, database.sizes, pop_size, num_channels)
         population = rng.integers(0, num_channels, size=(pop_size, n))
+        population = population.astype(fitness.genes)
         if self._seed_with_heuristics:
-            seeds = _heuristic_seeds(database, num_channels)
-            population[: len(seeds)] = seeds
-        _repair(population, num_channels, rng)
-        costs = _population_costs(population, frequencies, sizes, num_channels)
+            population[:HEURISTIC_SEEDS] = _heuristic_seeds(database, num_channels)
+        costs = fitness.repaired_costs(population, rng)
+        previous = np.arange(pop_size) - 1  # second parent: the one before
 
         best_index = int(np.argmin(costs))
         best_chromosome = population[best_index].copy()
@@ -164,14 +202,22 @@ class GOPTAllocator(Allocator):
         for _generation in range(generations):
             generations_run += 1
             parents = _tournament(costs, params.tournament_size, pop_size, rng)
-            children = _crossover(
-                population, parents, params.crossover_rate, rng
+            # Uniform crossover with the previous parent; a skipped row
+            # clones its first parent (all-True mask).
+            first = population.take(parents, axis=0)
+            second = population.take(parents[previous], axis=0)
+            mask = rng.random(size=(pop_size, n)) < 0.5
+            mask[rng.random(size=pop_size) >= params.crossover_rate] = True
+            children = second + (first - second) * mask
+            # Mutation: reset genes to random channels.  The full-shape
+            # draw is a temporary, so it is freed before the costing.
+            mutated = np.flatnonzero(
+                rng.random(size=children.shape) < params.mutation_rate
             )
-            _mutate(children, num_channels, params.mutation_rate, rng)
-            _repair(children, num_channels, rng)
-            child_costs = _population_costs(
-                children, frequencies, sizes, num_channels
-            )
+            children.ravel()[mutated] = rng.integers(
+                0, num_channels, size=children.shape
+            ).ravel()[mutated]
+            child_costs = fitness.repaired_costs(children, rng)
             # Elitism: the elite of the current generation overwrite the
             # worst children.
             elite_order = np.argsort(costs)[: params.elite_count]
@@ -220,38 +266,55 @@ def _heuristic_seeds(
     from repro.baselines.flat import GreedyCostAllocator
     from repro.core.drp import drp_allocate
 
-    rows = []
-    rough = drp_allocate(database, num_channels)
-    rows.append(rough.allocation.assignment_vector())
-    rows.append(cds_refine(rough.allocation).allocation.assignment_vector())
-    for allocator in (ContiguousDPAllocator(), GreedyCostAllocator()):
-        outcome = allocator.allocate(database, num_channels)
-        rows.append(outcome.allocation.assignment_vector())
-    return np.array(rows, dtype=np.int64)
+    rough = drp_allocate(database, num_channels).allocation
+    allocations = [rough, cds_refine(rough).allocation] + [
+        allocator.allocate(database, num_channels).allocation
+        for allocator in (ContiguousDPAllocator(), GreedyCostAllocator())
+    ]
+    return np.array([a.assignment_vector() for a in allocations])
 
 
 # ----------------------------------------------------------------------
 # Vectorised GA primitives
 # ----------------------------------------------------------------------
-def _population_costs(
-    population: np.ndarray,
-    frequencies: np.ndarray,
-    sizes: np.ndarray,
-    num_channels: int,
-) -> np.ndarray:
-    """Eq.-(3) cost of every individual, in one bincount pass."""
-    pop_size, n = population.shape
-    flat = (
-        population + (np.arange(pop_size)[:, None] * num_channels)
-    ).ravel()
-    length = pop_size * num_channels
-    agg_f = np.bincount(
-        flat, weights=np.tile(frequencies, pop_size), minlength=length
-    ).reshape(pop_size, num_channels)
-    agg_z = np.bincount(
-        flat, weights=np.tile(sizes, pop_size), minlength=length
-    ).reshape(pop_size, num_channels)
-    return (agg_f * agg_z).sum(axis=1)
+class _Fitness:
+    """Eq.-(3) cost of a fixed-size population, with feasibility repair.
+
+    Tiled weights and per-row bin offsets are built once per run; each
+    ``bincount`` bin then sums its items in item order.
+    """
+
+    def __init__(self, frequencies, sizes, pop_size: int, num_channels: int) -> None:
+        self.num_channels = num_channels
+        self.genes = np.int8 if num_channels <= 128 else np.intp
+        self._tiled_f = np.tile(frequencies, pop_size)
+        self._tiled_z = np.tile(sizes, pop_size)
+        self._offsets = np.arange(pop_size)[:, None] * num_channels
+        self._bins = pop_size * num_channels
+
+    def _aggregate(self, flat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        totals = np.bincount(flat, weights=weights, minlength=self._bins)
+        return totals.reshape(-1, self.num_channels)
+
+    def repaired_costs(
+        self, population: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Repair every individual with an empty channel (in place), then
+        return the cost of every individual.
+
+        Sizes are > 0, so a channel's size aggregate is exactly 0.0 iff
+        the channel is empty: the size pass doubles as the feasibility
+        test, and only the offending rows are repaired before the
+        population is recounted.
+        """
+        flat = (population + self._offsets).ravel()
+        agg_z = self._aggregate(flat, self._tiled_z)
+        if not agg_z.all():
+            for row in np.flatnonzero(~agg_z.all(axis=1)):
+                _repair(population[row], self.num_channels, rng)
+            flat = (population + self._offsets).ravel()
+            agg_z = self._aggregate(flat, self._tiled_z)
+        return (self._aggregate(flat, self._tiled_f) * agg_z).sum(axis=1)
 
 
 def _tournament(
@@ -266,58 +329,18 @@ def _tournament(
     return entrants[np.arange(num_parents), winner_slots]
 
 
-def _crossover(
-    population: np.ndarray,
-    parent_indices: np.ndarray,
-    crossover_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform crossover over consecutive parent pairs."""
-    pop_size, n = population.shape
-    first = population[parent_indices]
-    second = population[np.roll(parent_indices, 1)]
-    mask = rng.random(size=(pop_size, n)) < 0.5
-    children = np.where(mask, first, second)
-    skip = rng.random(size=pop_size) >= crossover_rate
-    children[skip] = first[skip]
-    return children
-
-
-def _mutate(
-    population: np.ndarray,
-    num_channels: int,
-    mutation_rate: float,
-    rng: np.random.Generator,
-) -> None:
-    """Reset a random subset of genes to random channels, in place."""
-    mask = rng.random(size=population.shape) < mutation_rate
-    replacements = rng.integers(0, num_channels, size=population.shape)
-    population[mask] = replacements[mask]
-
-
 def _repair(
-    population: np.ndarray,
-    num_channels: int,
-    rng: np.random.Generator,
+    chromosome: np.ndarray, num_channels: int, rng: np.random.Generator
 ) -> None:
-    """Ensure every individual uses all channels, in place.
+    """Give every empty channel of one individual a gene, in place.
 
-    For each individual missing some channel, a random gene currently on
-    an over-populated channel is reassigned.  Only offending individuals
-    are touched, so the common case stays vectorised-cheap.
+    Channels are filled in ascending order; each takes a random gene
+    from a channel that currently holds more than one.
     """
-    pop_size, n = population.shape
-    flat = (population + (np.arange(pop_size)[:, None] * num_channels)).ravel()
-    counts = np.bincount(flat, minlength=pop_size * num_channels).reshape(
-        pop_size, num_channels
-    )
-    offenders = np.flatnonzero((counts == 0).any(axis=1))
-    for row in offenders:
-        chromosome = population[row]
-        channel_counts = counts[row].copy()
-        for channel in np.flatnonzero(channel_counts == 0):
-            donors = np.flatnonzero(channel_counts[chromosome] > 1)
-            gene = int(rng.choice(donors))
-            channel_counts[chromosome[gene]] -= 1
-            chromosome[gene] = channel
-            channel_counts[channel] += 1
+    channel_counts = np.bincount(chromosome, minlength=num_channels)
+    for channel in np.flatnonzero(channel_counts == 0):
+        donors = np.flatnonzero(channel_counts[chromosome] > 1)
+        gene = int(rng.choice(donors))
+        channel_counts[chromosome[gene]] -= 1
+        chromosome[gene] = channel
+        channel_counts[channel] += 1

@@ -16,10 +16,13 @@ unit-size cost
 
 .. math::  \\sum_{i=1}^{K} F_i \\cdot N_i ,
 
-which is the paper's Eq. (3) with every ``z = 1``.  This gives VF^K its
-best-case behaviour (the DP dominates the greedy tree growth), so the
-comparison is conservative: the diverse-environment gap the experiments
-show is *not* an artefact of a weak VF^K implementation.
+which is the paper's Eq. (3) with every ``z = 1`` — the SMAWK DP
+:func:`repro.core.partition.contiguous_optimal` on prefix sums of unit
+sizes, whose exact integer values keep every candidate float that of
+the textbook O(K·N²) DP.  This gives VF^K its best-case behaviour (the
+DP dominates the greedy tree growth), so the comparison is conservative:
+the diverse-environment gap the experiments show is *not* an artefact
+of a weak VF^K implementation.
 
 The resulting grouping is then evaluated under the true item sizes —
 exactly how the paper scores VF^K in the diverse environment.
@@ -27,14 +30,15 @@ exactly how the paper scores VF^K in the diverse environment.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
+from repro.core.partition import PrefixSums, contiguous_optimal
 from repro.core.scheduler import Allocator
-from repro.exceptions import InfeasibleProblemError
 
 __all__ = ["VFKAllocator", "unit_size_contiguous_optimal"]
 
@@ -47,48 +51,16 @@ def unit_size_contiguous_optimal(
 
     Minimises :math:`\\sum_g F_g \\cdot N_g` over contiguous partitions
     of ``items`` (which callers sort by frequency, descending).  Returns
-    ``(boundaries, unit_cost)`` with half-open ``(start, stop)`` pairs.
-
-    Complexity O(K·N²), the same DP shape as
-    :func:`repro.core.partition.contiguous_optimal`.
+    ``(boundaries, unit_cost)`` with half-open ``(start, stop)`` pairs;
+    raises :class:`~repro.exceptions.InfeasibleProblemError` unless
+    ``1 <= num_groups <= len(items)``.
     """
-    n = len(items)
-    if not 1 <= num_groups <= n:
-        raise InfeasibleProblemError(
-            f"cannot split {n} item(s) into {num_groups} non-empty groups"
-        )
-    prefix_f = [0.0] * (n + 1)
-    for index, item in enumerate(items):
-        prefix_f[index + 1] = prefix_f[index] + item.frequency
+    return _unit_size_partition([item.frequency for item in items], num_groups)
 
-    def segment_cost(start: int, stop: int) -> float:
-        return (prefix_f[stop] - prefix_f[start]) * (stop - start)
 
-    infinity = math.inf
-    dp = [[infinity] * (n + 1) for _ in range(num_groups + 1)]
-    choice = [[0] * (n + 1) for _ in range(num_groups + 1)]
-    dp[0][0] = 0.0
-    for g in range(1, num_groups + 1):
-        for i in range(g, n - (num_groups - g) + 1):
-            best_value = infinity
-            best_j = g - 1
-            for j in range(g - 1, i):
-                if dp[g - 1][j] == infinity:
-                    continue
-                value = dp[g - 1][j] + segment_cost(j, i)
-                if value < best_value:
-                    best_value = value
-                    best_j = j
-            dp[g][i] = best_value
-            choice[g][i] = best_j
-    boundaries: List[Tuple[int, int]] = []
-    stop = n
-    for g in range(num_groups, 0, -1):
-        start = choice[g][stop]
-        boundaries.append((start, stop))
-        stop = start
-    boundaries.reverse()
-    return boundaries, dp[num_groups][n]
+def _unit_size_partition(frequencies, num_groups: int):
+    sums = PrefixSums.from_arrays(frequencies, np.ones(len(frequencies)))
+    return contiguous_optimal(None, num_groups, sums=sums)
 
 
 class VFKAllocator(Allocator):
@@ -105,10 +77,12 @@ class VFKAllocator(Allocator):
     def _allocate(
         self, database: BroadcastDatabase, num_channels: int
     ) -> ChannelAllocation:
-        ordered = database.sorted_by_frequency()
-        boundaries, unit_cost = unit_size_contiguous_optimal(
-            ordered, num_channels
+        order = database.frequency_order()
+        boundaries, unit_cost = _unit_size_partition(
+            database.frequencies[order], num_channels
         )
-        groups = [list(ordered[start:stop]) for start, stop in boundaries]
         self._note(unit_size_cost=unit_cost)
-        return ChannelAllocation(database, groups)
+        # The boundaries cut the order into a partition of the catalogue.
+        return ChannelAllocation._from_index_groups(
+            database, [order[start:stop] for start, stop in boundaries]
+        )

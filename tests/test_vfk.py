@@ -4,13 +4,34 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.baselines.vfk import VFKAllocator, unit_size_contiguous_optimal
 from repro.core.cost import allocation_cost
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
+from repro.core.partition import PrefixSums
 from repro.exceptions import InfeasibleProblemError
+from repro.verify.reference import contiguous_quadratic
+from repro.workloads.generator import WorkloadSpec, generate_database
+
+
+def _unit_reference(database, num_groups):
+    """The textbook O(K·N²) DP on unit-size prefix sums of the
+    frequency-descending order."""
+    frequencies = database.frequencies[database.frequency_order()]
+    sums = PrefixSums.from_arrays(frequencies, np.ones(len(frequencies)))
+    return contiguous_quadratic(sums, num_groups)
+
+
+def _group_counts(num_items, *candidates):
+    """The feasible ones of ``candidates`` and ``num_items``, ascending."""
+    return sorted({k for k in candidates + (num_items,) if 1 <= k <= num_items})
+
+
+#: (N, Zipf θ) — θ = 0 ties every frequency.
+REFERENCE_SHAPES = [(1, 0.8), (9, 0.0), (40, 0.0), (40, 0.8), (90, 1.4)]
 
 
 class TestUnitSizeDP:
@@ -37,6 +58,19 @@ class TestUnitSizeDP:
             for cut in itertools.combinations(range(1, len(items)), k - 1)
         )
         assert dp_cost == pytest.approx(exhaustive)
+
+    @pytest.mark.parametrize("num_items, skewness", REFERENCE_SHAPES)
+    def test_matches_quadratic_reference_bit_for_bit(
+        self, num_items, skewness
+    ):
+        database = generate_database(
+            WorkloadSpec(num_items=num_items, skewness=skewness, seed=5)
+        )
+        ordered = database.sorted_by_frequency()
+        for k in _group_counts(num_items, 1, 2, 3, 7, num_items - 1):
+            assert unit_size_contiguous_optimal(ordered, k) == _unit_reference(
+                database, k
+            )
 
     def test_infeasible(self, tiny_db):
         with pytest.raises(InfeasibleProblemError):
@@ -97,6 +131,21 @@ class TestVFKAllocator:
         vfk_cost = VFKAllocator().allocate(db, 2).cost
         _, optimal_cost = brute_force_optimal(db, 2)
         assert vfk_cost > optimal_cost + 1e-9
+
+    @pytest.mark.parametrize("num_items, skewness", REFERENCE_SHAPES)
+    def test_groups_are_the_reference_partition(self, num_items, skewness):
+        database = generate_database(
+            WorkloadSpec(num_items=num_items, skewness=skewness, seed=6)
+        )
+        order = database.frequency_order().tolist()
+        for k in _group_counts(num_items, 1, 2, 5):
+            boundaries, unit_cost = _unit_reference(database, k)
+            outcome = VFKAllocator().allocate(database, k)
+            assert outcome.metadata["unit_size_cost"] == unit_cost
+            assert outcome.allocation.as_id_lists() == [
+                [database.item_id_at(i) for i in order[start:stop]]
+                for start, stop in boundaries
+            ]
 
     def test_cost_reported_under_true_sizes(self, medium_db):
         outcome = VFKAllocator().allocate(medium_db, 5)
