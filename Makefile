@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast verify-fuzz bench bench-kernels bench-incr bench-parallel bench-shards bench-obs bench-serve bench-check trace-smoke shard-smoke serve-smoke figures figure-parity report examples clean
+.PHONY: install test test-fast verify-fuzz bench bench-kernels bench-incr bench-parallel bench-shards bench-obs bench-serve bench-check trace-smoke shard-smoke serve-smoke figures figure-parity serve-parity report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -141,6 +141,19 @@ figure-parity:
 			     diff $$tmp/want.csv $$tmp/got.csv | head -20; exit 1; }; \
 		echo "$$fig: $$(($$(wc -l < $$tmp/got.csv) - 1)) rows match"; \
 	done
+
+# Rerun one seeded drifting `repro serve` and require its JSON output
+# (epoch reports, handover count, estimator state) to match
+# benchmarks/results/serve_parity.json byte for byte: the service's
+# outputs must not drift.
+serve-parity:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(PYTHON) -m repro serve --items 2000 --channels 8 --shift 50 \
+		--max-epochs 8 --requests-per-epoch 10000 --json > $$tmp || exit 1; \
+	diff benchmarks/results/serve_parity.json $$tmp > /dev/null \
+		|| { echo "serve: output differs from benchmarks/results/serve_parity.json"; \
+		     diff benchmarks/results/serve_parity.json $$tmp | head -20; exit 1; }; \
+	echo "serve: $$(grep -c '"epoch":' $$tmp) epoch reports match"
 
 report:
 	$(PYTHON) -m repro report --output report.md

@@ -26,7 +26,7 @@ from typing import Iterator, List, Tuple
 from repro.core.allocation import ChannelAllocation
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
-from repro.core.partition import contiguous_optimal
+from repro.core.partition import PrefixSums, contiguous_optimal
 from repro.core.scheduler import Allocator
 from repro.exceptions import InfeasibleProblemError, SolverLimitError
 
@@ -186,8 +186,13 @@ class ContiguousDPAllocator(Allocator):
     def _allocate(
         self, database: BroadcastDatabase, num_channels: int
     ) -> ChannelAllocation:
-        ordered = database.sorted_by_benefit_ratio()
-        boundaries, cost = contiguous_optimal(ordered, num_channels)
+        order = database.benefit_ratio_order()
+        sums = PrefixSums.from_arrays(
+            database.frequencies[order], database.sizes[order]
+        )
+        boundaries, cost = contiguous_optimal(None, num_channels, sums=sums)
         self._note(contiguous_cost=cost)
-        groups = [list(ordered[start:stop]) for start, stop in boundaries]
-        return ChannelAllocation(database, groups)
+        # The boundaries cut the order into a partition of the catalogue.
+        return ChannelAllocation._from_index_groups(
+            database, [order[start:stop] for start, stop in boundaries]
+        )

@@ -335,8 +335,9 @@ class ChannelAllocation:
             ``database``'s item ids.
         """
         if isinstance(source, ChannelAllocation):
-            if source._database is database or source._database == database:
-                # Same catalogue and same profile: adopt the index groups.
+            held = source._database
+            if held.shares_ids_with(database) or held == database:
+                # Same catalogue order: adopt the index groups.
                 return cls._from_index_groups(database, source._groups)
             id_lists: List[List[str]] = source.as_id_lists()
         else:

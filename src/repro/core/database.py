@@ -210,10 +210,21 @@ class BroadcastDatabase:
         self._validate_soa(require_normalized)
         return self
 
-    def _validate_soa(self, require_normalized: bool) -> None:
+    def _validate_soa(
+        self,
+        require_normalized: bool,
+        *,
+        template: Optional["BroadcastDatabase"] = None,
+    ) -> None:
+        """Check the features and ids; set the totals.
+
+        ``template`` is a validated database whose ids and sizes this
+        one shares: their checks and the size total are taken from it.
+        """
         freq, size = self._freq, self._size
         bad = ~(np.isfinite(freq) & (freq > 0.0))
-        bad |= ~(np.isfinite(size) & (size > 0.0))
+        if template is None:
+            bad |= ~(np.isfinite(size) & (size > 0.0))
         if bool(bad.any()):
             index = int(np.argmax(bad))
             raise InvalidItemError(
@@ -221,9 +232,7 @@ class BroadcastDatabase:
                 f"and > 0, got frequency={float(freq[index])!r} "
                 f"size={float(size[index])!r}"
             )
-        freq_list = freq.tolist()
-        size_list = size.tolist()
-        if self._ids is not None:
+        if self._ids is not None and template is None:
             seen: Dict[str, int] = {}
             for item_id in self._ids:
                 if item_id in seen:
@@ -231,7 +240,7 @@ class BroadcastDatabase:
                         f"duplicate item_id {item_id!r} in database"
                     )
                 seen[item_id] = 1
-        total_frequency = math.fsum(freq_list)
+        total_frequency = math.fsum(freq.tolist())
         if require_normalized and abs(total_frequency - 1.0) > FREQUENCY_SUM_TOLERANCE:
             raise InvalidDatabaseError(
                 "access frequencies must sum to 1 "
@@ -239,7 +248,11 @@ class BroadcastDatabase:
                 "require_normalized=False and call .normalized() to rescale"
             )
         self._total_frequency = total_frequency
-        self._total_size = math.fsum(size_list)
+        self._total_size = (
+            math.fsum(size.tolist())
+            if template is None
+            else template._total_size
+        )
 
     # ------------------------------------------------------------------
     # Array accessors (the hot-path API)
@@ -305,6 +318,8 @@ class BroadcastDatabase:
         The array-native profile update the incremental engine uses —
         no per-item objects are built.  The id index is built here if
         need be and shared too, so a chain of clones builds it once.
+        Only the new frequencies are validated: the shared ids and
+        sizes already were.
         """
         if len(frequencies) != len(self):
             raise InvalidDatabaseError(
@@ -320,8 +335,25 @@ class BroadcastDatabase:
         clone._items = None
         clone._index_by_id = self._id_index()
         clone._br_order = None
-        clone._validate_soa(require_normalized)
+        clone._validate_soa(require_normalized, template=self)
         return clone
+
+    def shares_ids_with(self, other: "BroadcastDatabase") -> bool:
+        """Whether ``other`` holds these item ids in this order, by
+        construction — an O(1) check.
+
+        True when both hold one id tuple (every :meth:`with_frequencies`
+        clone shares its source's) or the same virtual ids.  False
+        otherwise, even for equal ids held twice: callers then take
+        their id-based path.
+        """
+        if self._ids is not None:
+            return self._ids is other._ids
+        return (
+            other._ids is None
+            and self._id_prefix == other._id_prefix
+            and len(self) == len(other)
+        )
 
     # ------------------------------------------------------------------
     # Lazy view materialisation

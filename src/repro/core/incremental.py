@@ -316,19 +316,34 @@ def _seed_id_lists(
     return [list(ids) for ids in initial]
 
 
-def _seed_compatible(
-    id_lists: Sequence[Sequence[str]],
+def _warm_seed(
+    initial: Union[
+        ChannelAllocation, CompactAllocation, Iterable[Sequence[str]], None
+    ],
     database: BroadcastDatabase,
     num_channels: int,
-) -> bool:
+) -> Union[ChannelAllocation, List[List[str]], None]:
+    """The seed grouping for :func:`cds_refine`, or ``None`` when
+    ``initial`` cannot seed a warm start (no seed, another channel
+    count or another item-id set).
+
+    An allocation over a database sharing ``database``'s ids is its own
+    seed, checked in O(1); any other seed goes through id lists.
+    """
+    if initial is None:
+        return None
+    if isinstance(initial, ChannelAllocation) and (
+        initial.database.shares_ids_with(database)
+    ):
+        return initial if initial.num_channels == num_channels else None
+    id_lists = _seed_id_lists(initial)
     if len(id_lists) != num_channels:
-        return False
-    total = sum(len(ids) for ids in id_lists)
-    if total != len(database):
-        return False
-    return all(
-        item_id in database for ids in id_lists for item_id in ids
-    )
+        return None
+    if sum(len(ids) for ids in id_lists) != len(database):
+        return None
+    if not all(item_id in database for ids in id_lists for item_id in ids):
+        return None
+    return id_lists
 
 
 def _cold_pipeline(
@@ -391,10 +406,8 @@ def warm_start_refine(
         channels=num_channels,
         guard=regression_guard if regression_guard is not None else 0.0,
     ) as span:
-        id_lists = None if initial is None else _seed_id_lists(initial)
-        if id_lists is None or not _seed_compatible(
-            id_lists, database, num_channels
-        ):
+        seed = _warm_seed(initial, database, num_channels)
+        if seed is None:
             result = _cold_pipeline(
                 database,
                 num_channels,
@@ -404,7 +417,7 @@ def warm_start_refine(
             _bump("incremental.cold_runs")
             _bump("incremental.cold_drp_splits", result.drp_splits)
         elif regression_guard is None:
-            seeded = ChannelAllocation.rebase(database, id_lists)
+            seeded = ChannelAllocation.rebase(database, seed)
             warm = cds_refine(
                 seeded,
                 max_iterations=max_iterations,
@@ -423,7 +436,7 @@ def warm_start_refine(
             rough = drp_allocate(database, num_channels)
             warm = cds_refine(
                 rough.allocation,
-                initial=id_lists,
+                initial=seed,
                 max_iterations=max_iterations,
                 scan=scan,
             )
@@ -533,9 +546,8 @@ class AllocationCache:
 
     Keys are workload fingerprints (:func:`database_fingerprint` /
     :func:`workload_fingerprint`).  An exact hit returns the stored
-    grouping — the adaptive loop reuses it outright when an epoch's
-    believed profile recurs; sweep and replication machinery uses
-    entries as warm-start seeds.  Hits and misses are tallied locally
+    grouping outright; sweep and replication machinery uses entries as
+    warm-start seeds.  Hits and misses are tallied locally
     and on the ``incremental.cache_hits`` / ``cache_misses`` counters.
     """
 
@@ -720,6 +732,8 @@ class IncrementalAllocator:
             return True
         if num_channels != self._allocation.num_channels:
             return True
+        if self._database.shares_ids_with(database):
+            return False
         if len(database) != len(self._database):
             return True
         return any(

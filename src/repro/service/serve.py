@@ -10,8 +10,8 @@ implies but never builds.  It composes three existing subsystems:
   state is the floor for any estimator feeding it;
 * **epoch re-allocation** — at each epoch boundary the decayed profile
   is re-estimated over the catalogue and routed through the
-  :class:`~repro.core.incremental.IncrementalAllocator` (warm-start +
-  LRU cache + 1.02× regression guard, PR 4);
+  :class:`~repro.core.incremental.IncrementalAllocator` (warm start +
+  1.02× regression guard);
 * **drain/handover** — a freshly built allocation is *staged*, not
   installed: the old :class:`~repro.simulation.server.BroadcastProgram`
   keeps serving until the next **major-cycle boundary** of the current
@@ -66,7 +66,6 @@ from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
-    AllocationCache,
     IncrementalAllocator,
 )
 from repro.exceptions import SimulationError
@@ -74,7 +73,7 @@ from repro.service.clock import Clock, SystemClock
 from repro.simulation.adaptive import RotatingDrift
 from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
-from repro.workloads.estimator import DecayedCounts, profile_l1_error
+from repro.workloads.estimator import DecayedCounts
 from repro.workloads.trace import (
     TraceRecord,
     iter_trace_jsonl,
@@ -343,7 +342,7 @@ class BroadcastService:
         Replay in real time: sleep until each record's stream time
         (offset to the clock) before serving it.  Off by default —
         ingest as fast as the stream yields.
-    regression_guard / cache:
+    regression_guard:
         Forwarded to the :class:`IncrementalAllocator`.
     record_generations:
         Keep a ``(timestamp, generation)`` log of every served request
@@ -364,7 +363,6 @@ class BroadcastService:
         clock: Optional[Clock] = None,
         pace: bool = False,
         regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
-        cache: Optional[AllocationCache] = None,
         record_generations: bool = False,
     ) -> None:
         if not sizes:
@@ -387,25 +385,37 @@ class BroadcastService:
             half_life = 2.0 * self.epoch_seconds
         self._estimator = DecayedCounts(self._catalogue, half_life=half_life)
         self._engine = IncrementalAllocator(
-            self._num_channels,
-            regression_guard=regression_guard,
-            cache=cache if cache is not None else AllocationCache(),
+            self._num_channels, regression_guard=regression_guard
         )
+        ids: Tuple[str, ...] = tuple(self._catalogue)
+        if initial_database is not None:
+            if set(initial_database.item_ids) != set(ids):
+                raise SimulationError(
+                    "initial_database must hold exactly the catalogue's items"
+                )
+            if initial_database.item_ids == ids:
+                # Share its id tuple, so the first warm start already
+                # seeds by index groups.
+                ids = initial_database.item_ids
         # The uniform prior in catalogue order; every believed database
         # is a clone of it, sharing one copy of the ids, sizes and id
         # index.
         self._catalogue_db = BroadcastDatabase.from_soa(
-            np.full(len(self._catalogue), 1.0 / len(self._catalogue)),
-            [self._sizes[item_id] for item_id in self._catalogue],
-            ids=self._catalogue,
+            np.full(len(ids), 1.0 / len(ids)),
+            [self._sizes[item_id] for item_id in ids],
+            ids=ids,
         )
         if initial_database is None:
             initial_database = self._catalogue_db
-        elif set(initial_database.item_ids) != set(self._catalogue):
-            raise SimulationError(
-                "initial_database must hold exactly the catalogue's items"
-            )
         self._believed = initial_database
+        # The believed profile in catalogue order: the drift baseline.
+        self._believed_profile = (
+            initial_database.frequencies
+            if initial_database.shares_ids_with(self._catalogue_db)
+            else initial_database.frequencies[
+                [initial_database.index_of(i) for i in ids]
+            ]
+        )
         # The program _program_rows last mapped catalogue rows for, and
         # the map (None: its database is in catalogue order).
         self._rows_program: Optional[BroadcastProgram] = None
@@ -712,10 +722,11 @@ class BroadcastService:
                 # rebuild for — the provenance fields stay cleared.
                 self._last_drift = 0.0
                 return
-            estimated_profile = self.profile(timestamp=end)
-            drift = profile_l1_error(
-                dict(zip(believed.item_ids, believed.frequencies.tolist())),
-                estimated_profile,
+            estimated = self._estimator.profile(
+                smoothing=self._smoothing, timestamp=end
+            )
+            drift = math.fsum(
+                np.abs(estimated - self._believed_profile).tolist()
             )
             self._last_drift = drift
             if drift == 0.0:
@@ -727,28 +738,22 @@ class BroadcastService:
                     registry.counter("incremental.cache_hits").inc()
                 self._engine.stats.cache_hits += 1
                 return
-            frequencies = [
-                estimated_profile[item_id] for item_id in self._catalogue
-            ]
-            if min(frequencies) <= 0.0:
-                unobserved = [
-                    item_id
-                    for item_id, frequency in zip(self._catalogue, frequencies)
-                    if frequency <= 0.0
-                ]
+            unobserved = np.flatnonzero(estimated <= 0.0)
+            if len(unobserved):
                 # Fail here, with the fix, rather than in the database
                 # constructor's generic check on item features.
                 raise SimulationError(
                     f"{len(unobserved)} catalogue item(s) were never "
                     f"requested and estimate to frequency 0 (first: "
-                    f"{unobserved[:3]}); the analytical model needs "
-                    "every item's frequency positive — use smoothing > 0"
+                    f"{[self._catalogue[row] for row in unobserved[:3]]}); "
+                    "the analytical model needs every item's frequency "
+                    "positive — use smoothing > 0"
                 )
-            self._believed = self._catalogue_db.with_frequencies(frequencies)
+            self._believed = self._catalogue_db.with_frequencies(estimated)
+            self._believed_profile = self._believed.frequencies
             result = self._engine.reallocate(self._believed)
             self._mode = result.mode
             self._warm_moves = result.warm_moves
-            self._cache_hit = result.mode == "cache"
             self._reallocated = True
             self._allocation_cost = result.cost
             self._pending_switch = self.live.stage(

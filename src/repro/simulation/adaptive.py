@@ -91,15 +91,14 @@ class EpochReport:
         boundary (the initial build counts for epoch 0).
     cache_hit:
         True when the epoch boundary reused a previous program instead
-        of searching: the estimated profile showed zero L1 drift, or the
-        warm engine's allocation cache held the believed profile.
+        of searching: the estimated profile showed zero L1 drift.
     warm_moves:
         CDS moves the warm-started refinement executed at the preceding
         epoch boundary (0 for cold/static/reused epochs).
     allocation_mode:
         How this epoch's program was obtained: ``"cold"``, ``"warm"``,
-        ``"fallback"``, ``"cache"``, ``"reused"`` (zero-drift program
-        reuse) or ``"static"`` (no adaptation requested).
+        ``"fallback"``, ``"reused"`` (zero-drift program reuse) or
+        ``"static"`` (no adaptation requested).
     """
 
     epoch: int
@@ -224,7 +223,7 @@ def run_adaptive_simulation(
         scored(
             epoch,
             program.allocation,
-            summarize(waits[epoch].tolist()),
+            summarize(waits[epoch]),
             reallocated=epoch == 0,
             allocation_mode="static",
         )

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["SummaryStatistics", "WaitingTimeCollector"]
 
@@ -44,14 +47,49 @@ class SummaryStatistics:
         return self.ci_low <= value <= self.ci_high
 
 
-def summarize(samples: List[float], *, z_value: float = 1.96) -> SummaryStatistics:
-    """Summarise a non-empty sample list."""
-    count = len(samples)
+#: Samples per numpy block in :func:`summarize`: big enough to amortise
+#: the per-block calls, small enough that a block's temporaries (its
+#: float list included) stay a few hundred kilobytes.
+_SUMMARY_BLOCK = 4096
+
+
+def summarize(
+    samples: Sequence[float], *, z_value: float = 1.96
+) -> SummaryStatistics:
+    """Summarise a non-empty sample of finite values.
+
+    ``samples`` may be a list, an ``array('d')`` or a numpy array.  The
+    mean and the sum of squared deviations are exact ``math.fsum``
+    sums, fed block by block, so the temporaries stay bounded however
+    large the sample is.
+
+    Raises
+    ------
+    ValueError
+        On an empty sample or a non-finite value.
+    """
+    values = np.asarray(samples, dtype=np.float64)
+    count = len(values)
     if count == 0:
         raise ValueError("cannot summarise an empty sample")
-    mean = math.fsum(samples) / count
+    minimum = float(values.min())
+    maximum = float(values.max())
+    # NaN propagates through min/max and an infinity lands on one of
+    # them, so both ends finite means every sample is.
+    if not (math.isfinite(minimum) and math.isfinite(maximum)):
+        raise ValueError(
+            f"cannot summarise non-finite samples (range {minimum!r} to "
+            f"{maximum!r})"
+        )
+    mean = math.fsum(
+        chain.from_iterable(block.tolist() for block in _blocks(values))
+    ) / count
     if count > 1:
-        variance = math.fsum((x - mean) ** 2 for x in samples) / (count - 1)
+        variance = math.fsum(
+            chain.from_iterable(
+                _squared_deviations(block, mean) for block in _blocks(values)
+            )
+        ) / (count - 1)
         std = math.sqrt(variance)
         halfwidth = z_value * std / math.sqrt(count)
     else:
@@ -62,9 +100,22 @@ def summarize(samples: List[float], *, z_value: float = 1.96) -> SummaryStatisti
         mean=mean,
         std=std,
         ci_halfwidth=halfwidth,
-        minimum=min(samples),
-        maximum=max(samples),
+        minimum=minimum,
+        maximum=maximum,
     )
+
+
+def _blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of at most ``_SUMMARY_BLOCK`` values."""
+    for start in range(0, len(values), _SUMMARY_BLOCK):
+        yield values[start : start + _SUMMARY_BLOCK]
+
+
+def _squared_deviations(block: np.ndarray, mean: float) -> List[float]:
+    """``(x - mean) · (x - mean)`` per value: correctly rounded squares."""
+    deviations = block - mean
+    deviations *= deviations
+    return deviations.tolist()
 
 
 class WaitingTimeCollector:
@@ -76,6 +127,10 @@ class WaitingTimeCollector:
 
     def record(self, item_id: str, waiting_time: float) -> None:
         """Record one completed request."""
+        if not math.isfinite(waiting_time):
+            raise ValueError(
+                f"waiting time must be finite, got {waiting_time!r}"
+            )
         if waiting_time < 0:
             raise ValueError(
                 f"waiting time cannot be negative, got {waiting_time}"

@@ -134,12 +134,12 @@ def run_broadcast_simulation(
         heads = np.concatenate(([0], cuts))
         item_id_at = allocation.database.item_id_at
         per_item: Dict[str, SummaryStatistics] = {
-            item_id_at(int(sorted_picks[head])): summarize(group.tolist())
+            item_id_at(int(sorted_picks[head])): summarize(group)
             for head, group in zip(heads, np.split(waits[order], cuts))
         }
 
         report = SimulationReport(
-            measured=summarize(waits.tolist()),
+            measured=summarize(waits),
             analytical_waiting_time=average_waiting_time(
                 allocation, bandwidth=bandwidth
             ),

@@ -158,6 +158,36 @@ class DecayedCounts:
             exponents[stop:] = (times[stop:] - self._origin) / self.half_life
             start = stop
 
+    def profile(
+        self,
+        rows: Optional[np.ndarray] = None,
+        *,
+        smoothing: float = 1.0,
+        timestamp: Optional[float] = None,
+    ) -> np.ndarray:
+        """Smoothed, normalised frequency per catalogue row, as an array.
+
+        Each of ``rows`` (default: every row, in catalogue order) gets
+        ``(count + smoothing) / (Σ counts + smoothing · len(rows))``,
+        summing over ``rows`` only, with the counts decayed to
+        ``timestamp`` (default: the newest arrival, which then weighs 1).
+        """
+        if smoothing < 0:
+            raise SimulationError(f"smoothing must be >= 0, got {smoothing}")
+        if timestamp is None:
+            timestamp = self._last_timestamp or 0.0
+        deflation = 2.0 ** (-(timestamp - self._origin) / self.half_life)
+        counts = self._counts if rows is None else self._counts[rows]
+        counts = counts * deflation
+        total = math.fsum(counts.tolist()) + smoothing * len(counts)
+        if total <= 0:
+            raise SimulationError(
+                "cannot estimate from empty counts with zero smoothing"
+            )
+        counts += smoothing
+        counts /= total
+        return counts
+
     def estimate_profile(
         self,
         catalogue: Sequence[str],
@@ -165,28 +195,12 @@ class DecayedCounts:
         smoothing: float = 1.0,
         timestamp: Optional[float] = None,
     ) -> Dict[str, float]:
-        """Smoothed, normalised frequency per item id of ``catalogue``.
-
-        Each item gets ``(count + smoothing) / (Σ counts + smoothing ·
-        |catalogue|)`` with the counts decayed to ``timestamp`` (default:
-        the newest arrival, which then weighs 1).
-        """
+        """:meth:`profile` over the item ids ``catalogue``, keyed by id."""
         _check_catalogue(catalogue)
-        if smoothing < 0:
-            raise SimulationError(f"smoothing must be >= 0, got {smoothing}")
-        if timestamp is None:
-            timestamp = self._last_timestamp or 0.0
-        deflation = 2.0 ** (-(timestamp - self._origin) / self.half_life)
-        counts = (self._counts[self.rows(catalogue)] * deflation).tolist()
-        total = math.fsum(counts) + smoothing * len(counts)
-        if total <= 0:
-            raise SimulationError(
-                "cannot estimate from empty counts with zero smoothing"
-            )
-        return {
-            item_id: (count + smoothing) / total
-            for item_id, count in zip(catalogue, counts)
-        }
+        profile = self.profile(
+            self.rows(catalogue), smoothing=smoothing, timestamp=timestamp
+        )
+        return dict(zip(catalogue, profile.tolist()))
 
 
 def profile_l1_error(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.database import BroadcastDatabase, FREQUENCY_SUM_TOLERANCE
 from repro.core.item import DataItem
-from repro.exceptions import InvalidDatabaseError
+from repro.exceptions import InvalidDatabaseError, InvalidItemError
 
 
 class TestConstruction:
@@ -133,3 +133,25 @@ class TestTransforms:
     def test_from_arrays_length_mismatch(self):
         with pytest.raises(InvalidDatabaseError, match="equal length"):
             BroadcastDatabase.from_arrays([0.5], [1.0, 2.0])
+
+    def test_with_frequencies_clone_shares_ids_and_totals(self):
+        db = BroadcastDatabase.from_soa([0.5, 0.5], [1.0, 3.0], ids=["a", "b"])
+        clone = db.with_frequencies([0.25, 0.75])
+        assert clone.shares_ids_with(db) and db.shares_ids_with(clone)
+        assert clone.total_size == db.total_size == 4.0
+        assert clone.total_frequency == 1.0
+        # Equal ids held twice are not shared: callers take the id path.
+        twin = BroadcastDatabase.from_soa([0.5, 0.5], [1.0, 3.0], ids=["a", "b"])
+        assert not twin.shares_ids_with(db)
+        virtual = BroadcastDatabase.from_arrays([0.5, 0.5], [1.0, 3.0])
+        assert virtual.shares_ids_with(virtual.with_frequencies([0.4, 0.6]))
+        assert not virtual.shares_ids_with(db)
+        assert not virtual.shares_ids_with(
+            BroadcastDatabase.from_arrays([0.5, 0.5], [1.0, 3.0], prefix="v")
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, float("nan"), float("inf")])
+    def test_with_frequencies_still_checks_the_new_frequencies(self, bad):
+        db = BroadcastDatabase.from_soa([0.5, 0.5], [1.0, 3.0], ids=["a", "b"])
+        with pytest.raises(InvalidItemError):
+            db.with_frequencies([bad, 0.5], require_normalized=False)

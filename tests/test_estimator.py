@@ -345,6 +345,23 @@ class TestDecayedCounts:
         assert counts.estimate_profile(ids, smoothing=0.0) == {
             item_id: count / total for item_id, count in zip(ids, deflated)
         }
+        assert counts.profile(smoothing=0.0).tolist() == [
+            count / total for count in deflated
+        ]
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    def test_array_profile_is_the_dict_view(self, smoothing):
+        """:meth:`DecayedCounts.profile` in catalogue order equals
+        ``estimate_profile`` over the catalogue in any order, bit for bit."""
+        rng = np.random.default_rng(4)
+        ids = [f"d{k}" for k in range(50)]
+        counts = DecayedCounts(ids, half_life=7.0)
+        counts.add(rng.integers(0, 50, 400), np.sort(rng.uniform(0, 90, 400)))
+        shuffled = [ids[k] for k in rng.permutation(50)]
+        profile = counts.profile(smoothing=smoothing, timestamp=95.0)
+        assert dict(zip(ids, profile.tolist())) == counts.estimate_profile(
+            shuffled, smoothing=smoothing, timestamp=95.0
+        )
 
     def test_infinite_half_life_counts_plain_occurrences(self):
         trace = make_trace([(0, "a"), (5, "a"), (900, "b")])

@@ -12,6 +12,7 @@ from repro.baselines.exact import (
     stirling2,
 )
 from repro.core.cost import allocation_cost
+from repro.core.partition import contiguous_optimal
 from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import InfeasibleProblemError, SolverLimitError
 from repro.workloads.generator import WorkloadSpec, generate_database
@@ -126,6 +127,33 @@ class TestContiguousDP:
         assert outcome.metadata["contiguous_cost"] == pytest.approx(
             outcome.cost
         )
+
+    @pytest.mark.parametrize("skewness", [0.0, 0.8, 1.6])
+    @pytest.mark.parametrize("diversity", [0.0, 2.0])
+    def test_array_path_matches_item_path(self, skewness, diversity):
+        """Same id lists and the same ``contiguous_cost``, bit for bit,
+        as the DP over ``DataItem`` views in benefit-ratio order — with
+        θ=0 and Φ=0 ties and K=N among the instances."""
+        for num_items in (1, 2, 5, 12, 40):
+            for seed in range(3):
+                db = generate_database(
+                    WorkloadSpec(
+                        num_items=num_items,
+                        skewness=skewness,
+                        diversity=diversity,
+                        seed=seed,
+                    )
+                )
+                ordered = db.sorted_by_benefit_ratio()
+                counts = {1, min(2, num_items), min(4, num_items), num_items}
+                for k in sorted(counts):
+                    boundaries, cost = contiguous_optimal(ordered, k)
+                    outcome = ContiguousDPAllocator().allocate(db, k)
+                    assert outcome.allocation.as_id_lists() == [
+                        [item.item_id for item in ordered[start:stop]]
+                        for start, stop in boundaries
+                    ]
+                    assert outcome.metadata["contiguous_cost"] == cost
 
 
 def _all_two_way(db):

@@ -16,15 +16,17 @@ The three headline assertions (satellite 3):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.database import BroadcastDatabase
-from repro.core.incremental import AllocationCache, IncrementalAllocator
+from repro.core.incremental import IncrementalAllocator
 from repro.core.item import DataItem, items_created
 from repro.exceptions import SimulationError
 from repro.service import (
@@ -35,6 +37,7 @@ from repro.service import (
     replay_source,
 )
 from repro.service.serve import CHUNK_RECORDS
+from repro.simulation.adaptive import RotatingDrift
 from repro.simulation.metrics import summarize
 from repro.simulation.server import BroadcastProgram
 from repro.workloads.estimator import DecayedCounts, profile_l1_error
@@ -103,7 +106,7 @@ def offline_oracle(db, sizes, records, *, epochs):
     per-epoch ``(engine_cost, mode, warm_moves, allocation)`` tuples.
     """
     catalogue = list(sizes)
-    engine = IncrementalAllocator(CHANNELS, cache=AllocationCache())
+    engine = IncrementalAllocator(CHANNELS)
     result = engine.reallocate(db)
     allocation, cost = result.allocation, result.cost
     mode, warm_moves = "cold", result.warm_moves
@@ -173,6 +176,85 @@ class TestNoItemViews:
         service.run(iter(records), max_epochs=6)
         assert service.live.handovers
         assert items_created() == before
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
+
+
+#: A seeded drifting run (N=300, K=4, 8 epochs of 3000 requests, the
+#: profile rotated 7 ranks per epoch), frozen from a known-good build:
+#: per-report digests of ``to_dict()`` plus ``repr(measured)``, then
+#: digests of the handover records and of the final id lists.
+FROZEN_REPORTS = [
+    "dcd76c46f2c37af1",
+    "5d4aa2ad1bf60af8",
+    "796a42d2770b678c",
+    "c2f22c8fffa61ab4",
+    "ebfef54cfe863b07",
+    "43712e745420fbc1",
+    "fbab8230818199fd",
+    "7485e875e0c7ed6b",
+]
+FROZEN_HANDOVERS = "57eba7a15e38ee90"
+FROZEN_FINAL = "13917fa23dbfbbc7"
+
+
+class TestFrozenServeRun:
+    """Every serve output of one drifting run, bit for bit.
+
+    Guards the epoch close: exact summaries, the array profile and
+    drift, and warm seeds by index groups.  The shuffled run gives the
+    service its bootstrap profile in another order than the catalogue,
+    so the drift baseline must be mapped to catalogue order; this
+    catalogue has no benefit-ratio ties, so the run is the same.
+    """
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_reports_handovers_and_final_allocation(self, shuffled):
+        db = generate_database(WorkloadSpec(num_items=300, skewness=1.0, seed=17))
+        sizes = dict(zip(db.item_ids, db.sizes.tolist()))
+        initial = db
+        if shuffled:
+            order = np.random.default_rng(3).permutation(len(db))
+            initial = BroadcastDatabase.from_soa(
+                db.frequencies[order],
+                db.sizes[order],
+                ids=[db.item_ids[i] for i in order],
+            )
+        probe = BroadcastService(
+            sizes, CHANNELS, initial_database=initial, clock=FakeClock()
+        )
+        epoch_seconds = 2.0 * probe.live.major_cycle
+        service = BroadcastService(
+            sizes,
+            CHANNELS,
+            epoch_seconds=epoch_seconds,
+            initial_database=initial,
+            clock=FakeClock(),
+        )
+        service.run(
+            drifting_stream(
+                db,
+                epochs=8,
+                requests_per_epoch=3000,
+                epoch_seconds=epoch_seconds,
+                drift=RotatingDrift(db.frequencies, shift_per_epoch=7),
+                seed=11,
+            )
+        )
+        modes = [report.allocation_mode for report in service.reports]
+        assert modes == ["cold"] + ["warm"] * 7
+        assert [
+            _digest([report.to_dict(), repr(report.measured)])
+            for report in service.reports
+        ] == FROZEN_REPORTS
+        assert len(service.live.handovers) == 7
+        assert (
+            _digest([repr(handover) for handover in service.live.handovers])
+            == FROZEN_HANDOVERS
+        )
+        assert _digest(service.live.allocation.as_id_lists()) == FROZEN_FINAL
 
 
 class TestHandoverNeverTears:
