@@ -7,6 +7,13 @@ supplies the collection substrate so the loop can be closed: record the
 requests clients actually issue, then estimate frequencies from the
 trace (:mod:`repro.workloads.estimator`).
 
+Replay files are decoded a block of lines at a time, in three tiers:
+a block of canonical rows (the form :func:`save_trace_jsonl` writes)
+by one regex ``findall``, any other block of flat rows by one
+``json.loads``, and whatever is left line by line.  Each tier yields
+bit for bit the records a line-by-line read gives, or hands the block
+to the next; see :func:`_decode_block`.
+
 This is an extension beyond the paper, flagged as such in DESIGN.md.
 """
 
@@ -15,6 +22,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -199,7 +207,8 @@ def save_trace_jsonl(
 
     The replay format consumed by ``repro serve --replay`` (and
     :func:`iter_trace_jsonl`); compact keys keep million-request logs
-    manageable.
+    manageable.  A row whose id needs no JSON escape is written in the
+    canonical form the reader's fast tier decodes (:func:`_match_block`).
     """
     target = Path(path)
     with target.open("w", encoding="utf-8") as handle:
@@ -223,8 +232,9 @@ def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceRecord]:
 
     Memory is bounded by one block of lines (``BLOCK_BYTES`` of text):
     the live service ingests replays through this without materialising
-    the whole log.  Each block is decoded in one ``json.loads`` call;
-    the rows, checks and errors are those of :func:`parse_trace_lines`.
+    the whole log.  Each block is decoded in bulk when it can be
+    (:func:`_decode_block`); the rows, checks and errors are those of
+    :func:`parse_trace_lines`.
     """
     source = Path(path)
     with source.open("r", encoding="utf-8") as handle:
@@ -291,7 +301,9 @@ def _parse_line(
         return None
     try:
         row = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an int over Python's digit limit;
+        # RecursionError: containers nested too deep for the decoder.
         raise SimulationError(
             f"{source}:{line_no}: invalid JSON: {exc}"
         ) from exc
@@ -318,8 +330,73 @@ _get_t = itemgetter("t")
 _get_id = itemgetter("id")
 _NUMBER_TYPES = frozenset((int, float))
 
+#: A canonical row: ``{"t":<number>,"id":"<plain string>"}`` and a line
+#: end, as :func:`save_trace_jsonl` writes it.  The number is a JSON
+#: number without a sign (a negative ``t`` is bad, and ``-0`` is the int
+#: 0 to JSON but -0.0 to ``float``); ``[0-9]``, because ``\d`` also
+#: matches non-ASCII digits.  The id has no escape and no raw control
+#: character, so its text is its value.
+_CANONICAL_ROW = re.compile(
+    r'\{"t":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?),'
+    r'"id":"([^"\\\x00-\x1f]+)"\}\n'
+)
+
+#: Characters of a canonical row outside its two captures.
+_ROW_FRAME = len('{"t":,"id":""}\n')
+
 
 def _decode_block(
+    lines: List[str], last: Optional[float]
+) -> Optional[List[TraceRecord]]:
+    """Decode a block of lines in bulk, or ``None``.
+
+    Two tiers, tried in order: the canonical rows of
+    :func:`_match_block`, then one ``json.loads`` of the whole block
+    (:func:`_load_block`).  ``None`` sends the block to the line-by-line
+    parser, the third tier, which accepts the same records or raises
+    the error of the first bad line.
+    """
+    records = _match_block(lines, last)
+    if records is None:
+        records = _load_block(lines, last)
+    return records
+
+
+def _match_block(
+    lines: List[str], last: Optional[float]
+) -> Optional[List[TraceRecord]]:
+    """Decode a block of canonical rows with one regex ``findall``.
+
+    The block is accepted only when there is one match per line and the
+    matches' lengths add up to the text's.  Non-overlapping matches that
+    long tile the text, and each holds one line end, its last
+    character, so every line is exactly one row.  Each row then reads
+    as :func:`_parse_line` reads it.  An id without escapes or control
+    characters is its own value.  For a number with a fraction or an
+    exponent, ``json`` calls ``float`` on the same text; for an integer
+    it makes an int, and ``float`` of that int and ``float`` of its
+    text are both the correctly rounded double.  An integer too large
+    for a double becomes ``inf`` here and fails the finiteness check,
+    so the line parser reports it.  The timestamps must pass
+    :func:`_in_order`, as on the JSON tier.
+    """
+    text = "".join(lines)
+    rows = _CANONICAL_ROW.findall(text)
+    if not rows or len(rows) != len(lines):
+        return None
+    stamps, ids = zip(*rows)
+    if (
+        len("".join(stamps)) + len("".join(ids)) + _ROW_FRAME * len(rows)
+        != len(text)
+    ):
+        return None
+    times = list(map(float, stamps))
+    if not _in_order(np.array(times), last):
+        return None
+    return _new_records(times, ids)
+
+
+def _load_block(
     lines: List[str], last: Optional[float]
 ) -> Optional[List[TraceRecord]]:
     """Decode a block of lines with one ``json.loads``, or ``None``.
@@ -334,8 +411,6 @@ def _decode_block(
     container, and a line holding two rows changes the element count
     unless a spanning row compensates it.  An accepted block therefore
     holds exactly the rows :func:`_parse_line` reads from its lines.
-    ``None`` sends the block to the line-by-line parser, which accepts
-    the same records or raises the error of the first bad line.
     """
     body = list(filter(None, map(str.strip, lines)))
     if not body:
@@ -371,14 +446,28 @@ def _decode_block(
         not set(map(type, stamps)) <= _NUMBER_TYPES
         or set(map(type, ids)) != {str}
         or not all(ids)
-        or not np.isfinite(times).all()
-        or times[0] < (0.0 if last is None else last)
-        or (times[1:] < times[:-1]).any()
+        or not _in_order(times, last)
     ):
         return None
+    return _new_records(times.tolist(), ids)
+
+
+def _in_order(times: np.ndarray, last: Optional[float]) -> bool:
+    """Finite, not before ``last`` (or 0), and non-decreasing."""
+    return bool(
+        np.isfinite(times).all()
+        and times[0] >= (0.0 if last is None else last)
+        and not (times[1:] < times[:-1]).any()
+    )
+
+
+def _new_records(
+    times: List[float], ids: Sequence[str]
+) -> List[TraceRecord]:
+    """Records of rows already checked in bulk."""
     records = []
     append = records.append
-    for timestamp, item_id in zip(times.tolist(), ids):
+    for timestamp, item_id in zip(times, ids):
         record = _new_record(TraceRecord)
         _set_timestamp(record, timestamp)
         _set_item_id(record, item_id)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,14 +13,20 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.workloads.trace import (
+    BLOCK_BYTES,
     RequestTrace,
     TraceRecord,
     _decode_block,
+    _load_block,
+    _match_block,
     _record_blocks,
     iter_trace_jsonl,
     parse_trace_lines,
+    save_trace_jsonl,
     synthesize_trace,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestTraceRecord:
@@ -145,6 +153,12 @@ def _outcome(records):
     return read, None
 
 
+def _exact(records):
+    """``_outcome`` with each record as its timestamp's bits and its id."""
+    read, error = _outcome(records)
+    return [(r.timestamp.hex(), r.item_id) for r in read], error
+
+
 def _blocked(lines, cuts):
     """The block reader over ``lines`` cut into blocks before ``cuts``."""
     edges = [0, *sorted(set(cuts)), len(lines)]
@@ -153,7 +167,39 @@ def _blocked(lines, cuts):
 
 
 #: Bad values of ``t``: each must reach the line parser's error.
-BAD_TIMESTAMPS = ["NaN", "Infinity", "-Infinity", "-1", "1" + "0" * 400, "true", '"5"']
+BAD_TIMESTAMPS = [
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    "-1",
+    "1" + "0" * 400,
+    "1" * 5000,  # over Python's int digit limit
+    "true",
+    '"5"',
+]
+
+#: Spellings of ``t`` around the canonical number grammar, valid JSON
+#: or not; each must read as the line parser reads it.
+NUMBER_FORMS = [
+    "1e-05",
+    "1E+3",
+    "-0",
+    "-0.0",
+    "0",
+    "7",
+    "0.0e0",
+    "01",
+    "1.",
+    ".5",
+    "+1",
+    "1e400",
+    "\u0661",  # non-ASCII digits: float() reads them, JSON does not
+    "1\u0660",
+]
+
+#: Ids: plain, with a quote or a backslash (escaped), non-ASCII (raw
+#: or escaped), and with DEL (raw, valid JSON).
+IDS = ["a", "b", "d7", "caf\u00e9", 'q"x', "b\\s", "x\x7fy"]
 
 
 @st.composite
@@ -161,8 +207,13 @@ def mutated_traces(draw):
     """A valid JSONL trace, mutated, and where to cut it into blocks.
 
     Mutations: a string or a container merged across two lines, a line
-    holding two rows, a bad ``t``, a numeric id, an extra key, a blank
-    line, a CRLF line end, or a timestamp going back on a block edge.
+    holding two rows, a bad ``t``, a ``t`` from ``NUMBER_FORMS``, a
+    numeric id, an id with a raw control character, text after the
+    row, an extra key, a blank line, a CRLF line end, or a timestamp
+    going back on a block edge.  The rows are compact (the canonical
+    form) or spaced, with non-ASCII ids raw or escaped, and the last
+    line may lack its newline.  Half the traces draw only plain ids, so
+    that whole blocks are often canonical.
     """
     count = draw(st.integers(min_value=2, max_value=24))
     steps = draw(
@@ -174,7 +225,7 @@ def mutated_traces(draw):
     )
     ids = draw(
         st.lists(
-            st.sampled_from(["a", "b", "d7", "caf\u00e9", 'q"x']),
+            st.sampled_from(draw(st.sampled_from([IDS[:3], IDS]))),
             min_size=count,
             max_size=count,
         )
@@ -185,8 +236,13 @@ def mutated_traces(draw):
         stamps.append(clock)
     compact = draw(st.booleans())
     separators = (",", ":") if compact else (", ", ": ")
+    ensure_ascii = draw(st.booleans())
     lines = [
-        json.dumps({"t": t, "id": item_id}, separators=separators)
+        json.dumps(
+            {"t": t, "id": item_id},
+            separators=separators,
+            ensure_ascii=ensure_ascii,
+        )
         for t, item_id in zip(stamps, ids)
     ]
     cuts = draw(st.lists(st.integers(1, count), max_size=6))
@@ -195,7 +251,10 @@ def mutated_traces(draw):
         "container-merge",
         "two-rows",
         "bad-t",
+        "number-form",
         "numeric-id",
+        "control-id",
+        "trailing",
         "extra-key",
         "blank",
         "crlf",
@@ -213,8 +272,16 @@ def mutated_traces(draw):
         elif kind == "bad-t":
             bad = draw(st.sampled_from(BAD_TIMESTAMPS))
             lines[at] = '{"t":%s,"id":"a"}' % bad
+        elif kind == "number-form":
+            form = draw(st.sampled_from(NUMBER_FORMS))
+            lines[at] = '{"t":%s,"id":"a"}' % form
         elif kind == "numeric-id":
             lines[at] = '{"t":%s,"id":7}' % t
+        elif kind == "control-id":
+            control = draw(st.sampled_from(["\x00", "\x01", "\t", "\x1f"]))
+            lines[at] = '{"t":%s,"id":"a%sb"}' % (t, control)
+        elif kind == "trailing":
+            lines[at] += draw(st.sampled_from([" x", "}", ",", "  "]))
         elif kind == "extra-key":
             lines[at] = '{"t":%s,"id":"a","x":1}' % t
         elif kind == "blank":
@@ -226,6 +293,8 @@ def mutated_traces(draw):
             lines[at] = '{"t":%s,"id":"a"}' % json.dumps(earlier)
             cuts.append(at)
     text = [line + "\n" for line in lines]
+    if draw(st.booleans()):
+        text[-1] = lines[-1]  # no newline at the end of the file
     return text, [cut for cut in cuts if cut < len(text)]
 
 
@@ -241,7 +310,7 @@ class TestBlockDecoder:
     @given(mutated_traces())
     def test_blocks_match_one_line_blocks(self, trace):
         lines, cuts = trace
-        assert _outcome(_blocked(lines, cuts)) == _outcome(
+        assert _exact(_blocked(lines, cuts)) == _exact(
             parse_trace_lines(lines, "src")
         )
 
@@ -257,6 +326,11 @@ class TestBlockDecoder:
             ['{"t":1', '"id":"a"}', '{"t":2,"id":"b"},{"t":3,"id":"c"}'],
             ['{"t":1,"id":"a"}', '{"t":0.5,"id":"b"}'],
             ['{"t":1,"id":"a"}', '{"t":1%s,"id":"b"}' % ("0" * 400)],
+            ['{"t":1,"id":"a"}', '{"t":%s,"id":"b"}' % ("1" * 5000)],
+            [
+                '{"t":1,"id":"a"}',
+                '{"t":1,"id":"a","x":%s%s}' % ("[" * 100000, "]" * 100000),
+            ],
         ],
         ids=[
             "container-merge",
@@ -264,11 +338,74 @@ class TestBlockDecoder:
             "split-object",
             "backwards",
             "huge-int",
+            "over-digit-limit",
+            "deep-nesting",
         ],
     )
     def test_adversarial_block_falls_back(self, lines):
         assert _decode_block(lines, None) is None
-        assert _outcome(_blocked(lines, [])) == _outcome(
+        assert _exact(_blocked(lines, [])) == _exact(
+            parse_trace_lines(lines, "src")
+        )
+
+    @pytest.mark.parametrize(
+        "t", ["1" * 5000, "[" * 100000 + "]" * 100000], ids=["digits", "depth"]
+    )
+    def test_hostile_value_is_a_line_error(self, t):
+        lines = ['{"t":0,"id":"a"}\n', '{"t":%s,"id":"b"}\n' % t]
+        read, error = _outcome(parse_trace_lines(lines, "src"))
+        assert read == [TraceRecord(0.0, "a")]
+        assert error.startswith("src:2: ")
+
+    @pytest.mark.parametrize("form", NUMBER_FORMS)
+    def test_number_forms_read_as_the_line_parser_reads_them(self, form):
+        lines = ['{"t":0,"id":"a"}\n', '{"t":%s,"id":"b"}\n' % form]
+        accepted = _match_block(lines, None)
+        canonical = form in ("1e-05", "1E+3", "0", "7", "0.0e0")
+        assert (accepted is not None) == canonical
+        assert _exact(_blocked(lines, [])) == _exact(
+            parse_trace_lines(lines, "src")
+        )
+
+    def test_canonical_block_is_matched_exactly(self):
+        lines = [
+            '{"t":0,"id":"a"}\n',
+            '{"t":5e-324,"id":"caf\u00e9"}\n',
+            '{"t":1e-05,"id":"x\x7fy"}\n',
+            '{"t":3,"id":"b"}\n',
+            '{"t":3.0E+0,"id":"it\'s"}\n',
+            '{"t":0.1,"id":"a b"}\n',  # 0.1 > 3.0 is false: out of order
+        ]
+        assert _match_block(lines, None) is None
+        records = _match_block(lines[:-1], None)
+        assert _exact(records) == _exact(parse_trace_lines(lines[:-1], "src"))
+        assert [type(r.timestamp) for r in records] == [float] * 5
+        assert _match_block(lines[:-1], 1.0) is None  # before the last block
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ['{"t":1,"id":"a"}\n', 'x{"t":2,"id":"b"}\n'],
+            ['{"t":1,"id":"a"}{"t":2,"id":"b"}\n', "\n"],
+            ['{"t":1,"id":"a"}\n', '{"t":2,"id":"b"}'],
+            ['{"t":1,"id":"a"}\n', '{"t":2, "id":"b"}\n'],
+            ['{"t":1,"id":"a"}\n', '{"t":2,"id":"b"}\r\n'],
+            ['{"t":1,"id":"a"}\n', '{"t":2,"id":"a\x01b"}\n'],
+            ['{"t":1,"id":"a"}\n', '{"t":2,"id":"a\\u0041"}\n'],
+        ],
+        ids=[
+            "text-before",
+            "two-rows",
+            "no-newline",
+            "space",
+            "crlf",
+            "raw-control",
+            "escaped-id",
+        ],
+    )
+    def test_non_canonical_block_is_not_matched(self, lines):
+        assert _match_block(lines, None) is None
+        assert _exact(_blocked(lines, [])) == _exact(
             parse_trace_lines(lines, "src")
         )
 
@@ -289,3 +426,54 @@ class TestBlockDecoder:
         assert len(records) == 2500
         assert records[-1] == TraceRecord(2499.0, "item-2499")
         assert error.startswith(f"{path}:2501: bad record")
+
+
+def _file_blocks(path):
+    """``path`` in the blocks ``iter_trace_jsonl`` reads, each with the
+    last timestamp before it."""
+    last = None
+    with open(path, encoding="utf-8") as handle:
+        while True:
+            block = handle.readlines(BLOCK_BYTES)
+            if not block:
+                return
+            yield block, last
+            last = json.loads(block[-1])["t"]
+
+
+class TestCanonicalWriters:
+    """The files the library and the benchmark write take the fast tier.
+
+    A writer whose rows fell through to the JSON tier would still read
+    correctly, only slower; these tests make that fall-through fail.
+    """
+
+    @staticmethod
+    def _assert_matched(path):
+        blocks = list(_file_blocks(path))
+        assert len(blocks) > 1
+        for block, last in blocks:
+            records = _match_block(block, last)
+            assert records is not None
+            assert _exact(records) == _exact(_load_block(block, last))
+
+    def test_save_trace_jsonl(self, medium_db, tmp_path):
+        trace = synthesize_trace(medium_db, 3000, seed=3)
+        trace.record(trace.span * 1e10, medium_db.item_ids[0])  # 1e+xx form
+        path = save_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        self._assert_matched(path)
+
+    def test_perfbench_writer(self, medium_db, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        pipeline = importlib.import_module("pipeline")
+        trace = synthesize_trace(medium_db, 3000, arrival_rate=1e5, seed=4)
+        stamps = [0.0, 5e-324, 1e-05] + [
+            1e-05 + record.timestamp for record in trace
+        ] + [1e16]
+        ids = list(medium_db.item_ids)
+        records = [
+            TraceRecord(t, ids[k % len(ids)]) for k, t in enumerate(stamps)
+        ]
+        path = tmp_path / "perfbench.jsonl"
+        assert pipeline._write_trace(records, path, ids) == len(records)
+        self._assert_matched(path)
