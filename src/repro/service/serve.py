@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import socket
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (
@@ -71,7 +70,11 @@ from repro.core.incremental import (
 from repro.exceptions import SimulationError
 from repro.service.clock import Clock, SystemClock
 from repro.simulation.adaptive import RotatingDrift
-from repro.simulation.metrics import SummaryStatistics, summarize
+from repro.simulation.metrics import (
+    SummaryStatistics,
+    summarize,
+    summarize_blocks,
+)
 from repro.simulation.server import BroadcastProgram
 from repro.workloads.estimator import DecayedCounts
 from repro.workloads.trace import (
@@ -502,7 +505,7 @@ class BroadcastService:
         times: List[float] = []
         ids: List[str] = []
         push_time, push_id = times.append, ids.append
-        waits = array("d")
+        waits: List[np.ndarray] = []
         stream_origin = 0.0
         wall_origin = clock.now()
         last_timestamp = -math.inf
@@ -530,7 +533,7 @@ class BroadcastService:
                         wall_origin = clock.now()
                     while timestamp >= epoch_end:
                         self._close_epoch(epoch_start, epoch_end, waits)
-                        waits = array("d")
+                        waits = []
                         epoch_start = epoch_end
                         epoch_end = epoch_start + self.epoch_seconds
                         if (
@@ -573,13 +576,13 @@ class BroadcastService:
         self,
         times: List[float],
         ids: List[str],
-        waits: "array[float]",
+        waits: List[np.ndarray],
         heartbeat: Optional[obs.Heartbeat],
     ) -> None:
         """Serve one buffered chunk of time-ordered requests, then empty it.
 
-        Maps the ids to catalogue rows once, appends every request's
-        wait to ``waits``, logs generations and absorbs the chunk into
+        Maps the ids to catalogue rows once, appends the chunk's waits
+        to ``waits`` as arrays, logs generations and absorbs the chunk into
         the decayed counts.  The chunk lies inside one epoch, so at most
         one staged handover falls in it: requests before the pending
         ``switch_at`` drain on the old program, and the first one at or
@@ -611,10 +614,10 @@ class BroadcastService:
             if lo == hi:
                 continue
             program = live.program_for(times[lo])
-            waits.frombytes(
+            waits.append(
                 program.waiting_times(
                     self._program_rows(program, rows[lo:hi]), tune_ins[lo:hi]
-                ).tobytes()
+                )
             )
             if self.generation_log is not None:
                 self.generation_log.extend(
@@ -662,12 +665,13 @@ class BroadcastService:
         self,
         start: float,
         end: float,
-        waits: "array[float]",
+        waits: List[np.ndarray],
         *,
         final: bool = False,
     ) -> None:
         epoch = len(self.reports)
-        with obs.span("serve.epoch", epoch=epoch, requests=len(waits)):
+        requests = sum(map(len, waits))
+        with obs.span("serve.epoch", epoch=epoch, requests=requests):
             believed = self._believed
             on_air = self.live.allocation
             cost = cost_under_profile(
@@ -677,8 +681,8 @@ class BroadcastService:
                 epoch=epoch,
                 start=start,
                 end=end,
-                requests=len(waits),
-                measured=summarize(waits) if waits else summarize([0.0]),
+                requests=requests,
+                measured=summarize_blocks(waits) if waits else summarize([0.0]),
                 allocation_cost=cost,
                 engine_cost=self._allocation_cost,
                 profile_drift=self._last_drift,

@@ -69,11 +69,24 @@ def summarize(
         On an empty sample or a non-finite value.
     """
     values = np.asarray(samples, dtype=np.float64)
-    count = len(values)
+    return summarize_blocks(list(_blocks(values)), z_value=z_value)
+
+
+def summarize_blocks(
+    blocks: Sequence[np.ndarray], *, z_value: float = 1.96
+) -> SummaryStatistics:
+    """:func:`summarize` of the blocks' values taken together.
+
+    The blocks are never joined, so no temporary as large as the whole
+    sample is made.  The sums are exact, so the result is bit for bit
+    that of :func:`summarize` on the concatenation.
+    """
+    count = sum(map(len, blocks))
     if count == 0:
         raise ValueError("cannot summarise an empty sample")
-    minimum = float(values.min())
-    maximum = float(values.max())
+    ends = [(block.min(), block.max()) for block in blocks if len(block)]
+    minimum = float(np.min(ends))
+    maximum = float(np.max(ends))
     # NaN propagates through min/max and an infinity lands on one of
     # them, so both ends finite means every sample is.
     if not (math.isfinite(minimum) and math.isfinite(maximum)):
@@ -82,12 +95,12 @@ def summarize(
             f"{maximum!r})"
         )
     mean = math.fsum(
-        chain.from_iterable(block.tolist() for block in _blocks(values))
+        chain.from_iterable(block.tolist() for block in blocks)
     ) / count
     if count > 1:
         variance = math.fsum(
             chain.from_iterable(
-                _squared_deviations(block, mean) for block in _blocks(values)
+                _squared_deviations(block, mean) for block in blocks
             )
         ) / (count - 1)
         std = math.sqrt(variance)

@@ -9,7 +9,11 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.simulation.metrics import WaitingTimeCollector, summarize
+from repro.simulation.metrics import (
+    WaitingTimeCollector,
+    summarize,
+    summarize_blocks,
+)
 
 
 class TestSummarize:
@@ -86,6 +90,32 @@ class TestSummarize:
             tracemalloc.stop()
         # One all-at-once ``tolist()`` of 10**6 floats would take ~30 MB.
         assert peak < 1_000_000
+
+
+class TestSummarizeBlocks:
+    @pytest.mark.parametrize(
+        "sizes", [[1], [1024], [1024, 1024, 3], [7, 1, 4096, 5000, 1024]]
+    )
+    def test_matches_summarize_on_the_concatenation(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        blocks = [rng.exponential(20.0, size) for size in sizes]
+        assert summarize_blocks(blocks) == summarize(np.concatenate(blocks))
+
+    def test_empty_blocks_are_skipped(self):
+        blocks = [np.array([]), np.array([2.0, 1.0]), np.array([])]
+        assert summarize_blocks(blocks) == summarize([2.0, 1.0])
+
+    @pytest.mark.parametrize("blocks", [[], [np.array([])]])
+    def test_empty_rejected(self, blocks):
+        with pytest.raises(ValueError, match="empty"):
+            summarize_blocks(blocks)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_rejected_in_any_block(self, position):
+        blocks = [np.array([1.0, 2.0]), np.array([0.0]), np.array([3.0])]
+        blocks[position] = np.array([math.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize_blocks(blocks)
 
 
 class TestCollector:
