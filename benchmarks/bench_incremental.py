@@ -1,14 +1,9 @@
-"""Extension bench: incremental maintenance vs full rebuild.
+"""Extension bench: warm-start epoch re-allocation vs a cold rebuild.
 
-Two perf stories live here:
-
-* **catalogue edits** (pytest-benchmark tests below): a single-item
-  insert/remove + warm CDS polish against a full DRP-CDS re-run —
-  quality must stay within a few percent of the rebuild;
-* **epoch re-allocation** (standalone harness): the warm-start engine
-  (:class:`repro.core.incremental.IncrementalAllocator`) against a cold
-  DRP+CDS pipeline across profile drift rates, reported as epochs/sec
-  and written to ``BENCH_incr.json`` at the repo root.
+The warm-start engine
+(:class:`repro.core.incremental.IncrementalAllocator`) against a cold
+DRP+CDS pipeline across profile drift rates, reported as epochs/sec and
+written to ``BENCH_incr.json`` at the repo root.
 
 Run the harness standalone (CI smoke uses ``--items 600 --epochs 2``)::
 
@@ -45,16 +40,10 @@ except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.cds import cds_refine
-from repro.core.cost import allocation_cost
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
-from repro.core.incremental import (
-    IncrementalAllocator,
-    insert_item,
-    remove_item,
-)
+from repro.core.incremental import IncrementalAllocator
 from repro.core.item import DataItem
-from repro.core.scheduler import DRPCDSAllocator
 from repro.workloads.generator import WorkloadSpec, generate_database
 
 SCHEMA_VERSION = 1
@@ -232,66 +221,6 @@ def test_warm_epoch_speedup_smoke(benchmark):
     assert row["speedup"] and row["speedup"] > 1.0
     assert row["max_cost_gap_percent"] <= 2.0 + 1e-6  # the guard, in %
     save_report("incremental_epochs", _format_report(document))
-
-
-def test_insert_quality_vs_rebuild(benchmark):
-    from benchmarks.conftest import save_report
-    from repro.analysis.tables import format_table
-
-    def run():
-        rows = []
-        allocator = DRPCDSAllocator()
-        for seed in range(4):
-            database = generate_database(
-                WorkloadSpec(num_items=120, seed=seed)
-            )
-            base = allocator.allocate(database, 7).allocation
-            new = DataItem("fresh", 0.05, 15.0)
-            grown_db, incremental = insert_item(base, new)
-            rebuilt = allocator.allocate(grown_db, 7)
-            inc_cost = allocation_cost(incremental)
-            rows.append(
-                (
-                    seed,
-                    inc_cost,
-                    rebuilt.cost,
-                    (inc_cost - rebuilt.cost) / rebuilt.cost * 100,
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report = format_table(
-        ["seed", "incremental cost", "rebuild cost", "gap (%)"],
-        rows,
-        title="Insert one item: warm-started edit vs full DRP-CDS rebuild",
-        precision=4,
-    )
-    save_report("incremental_insert", report)
-    for _, inc_cost, rebuilt_cost, _ in rows:
-        assert inc_cost <= rebuilt_cost * 1.05
-
-
-def test_insert_latency(benchmark, standard_workload):
-    base = DRPCDSAllocator().allocate(standard_workload, 7).allocation
-    new = DataItem("fresh", 0.03, 9.0)
-    database, allocation = benchmark(insert_item, base, new)
-    assert "fresh" in database
-    assert allocation.num_channels == 7
-
-
-def test_remove_latency(benchmark, standard_workload):
-    base = DRPCDSAllocator().allocate(standard_workload, 7).allocation
-    victim = standard_workload.items[17].item_id
-    database, allocation = benchmark(remove_item, base, victim)
-    assert victim not in database
-
-
-def test_rebuild_latency_reference(benchmark, standard_workload):
-    """The number the edits are measured against."""
-    allocator = DRPCDSAllocator()
-    outcome = benchmark(allocator.allocate, standard_workload, 7)
-    assert outcome.allocation.num_channels == 7
 
 
 if __name__ == "__main__":

@@ -167,17 +167,6 @@ def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
             "seconds as an error instead of waiting forever"
         ),
     )
-    parser.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "seed DRP-CDS cells from the nearest finished sweep "
-            "neighbour's allocation (replications reuse replication 0); "
-            "identical for any --workers count, but costs may differ "
-            "slightly from a cold sweep within the warm-start guard"
-        ),
-    )
     parser.add_argument("--csv", default=None, help="write rows to CSV file")
     parser.add_argument("--json", default=None, help="write result to JSON file")
     parser.add_argument(
@@ -249,17 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also print per-algorithm work counters (DRP splits/heap "
             "traffic, CDS moves/Δc evaluations/improvement)"
-        ),
-    )
-    allocate.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "route algorithms through an allocation cache keyed by the "
-            "workload fingerprint (seed, N, K, algorithm): repeated "
-            "algorithm names become cache hits; --stats reports "
-            "hits/misses"
         ),
     )
 
@@ -517,13 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replications", type=int, default=None, help="override replications"
     )
     shard_compile.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="record the warm-start seed DAG in the manifest; shards "
-        "consume each other's replication-0 seeds across boundaries",
-    )
-    shard_compile.add_argument(
         "--output",
         default="manifest.json",
         metavar="PATH",
@@ -719,17 +690,10 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     bound = waiting_time_lower_bound(
         database, args.channels, bandwidth=args.bandwidth
     )
-    cache = None
-    if getattr(args, "warm_start", False):
-        from repro.core.incremental import AllocationCache
-
-        cache = AllocationCache()
     rows = []
     outcomes = []
     for name in args.algorithms:
-        outcome = _allocate_one(
-            name, database, args.channels, args.seed, cache
-        )
+        outcome = make_allocator(name).allocate(database, args.channels)
         outcomes.append(outcome)
         rows.append(
             (
@@ -751,53 +715,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     if args.stats:
         print()
         _print_allocate_stats(outcomes)
-        if cache is not None:
-            stats = cache.stats()
-            print(
-                f"\nallocation cache: {stats['hits']} hits, "
-                f"{stats['misses']} misses, {stats['entries']} entries"
-            )
     return 0
-
-
-def _allocate_one(name, database, num_channels, seed, cache):
-    """Run one algorithm, consulting the allocation cache when enabled.
-
-    The cache is keyed by the workload fingerprint (seed, N, K,
-    algorithm) — the tuple that deterministically generated the
-    database — so a repeated algorithm name returns the stored
-    allocation without re-searching.
-    """
-    from repro.core.cost import allocation_cost
-    from repro.core.incremental import workload_fingerprint
-    from repro.core.scheduler import AllocationOutcome
-
-    key = None
-    if cache is not None:
-        key = workload_fingerprint(
-            num_items=len(database),
-            num_channels=num_channels,
-            seed=seed,
-            algorithm=name,
-        )
-        compact = cache.get(key)
-        if compact is not None and compact.compatible_with(
-            database, num_channels
-        ):
-            start = time.perf_counter()
-            allocation = compact.to_allocation(database)
-            return AllocationOutcome(
-                allocation=allocation,
-                cost=allocation_cost(allocation),
-                elapsed_seconds=time.perf_counter() - start,
-                algorithm=name,
-                metadata={"cache_hit": True},
-            )
-    allocator = make_allocator(name)
-    outcome = allocator.allocate(database, num_channels)
-    if cache is not None and key is not None:
-        cache.put(key, outcome.allocation, cost=outcome.cost)
-    return outcome
 
 
 #: ``allocate --stats`` columns: (metadata key, printed label).
@@ -846,7 +764,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         replications=args.replications,
         workers=args.workers,
         cell_timeout=args.cell_timeout,
-        warm_start=args.warm_start,
         progress=progress,
     )
     print()
@@ -1442,17 +1359,12 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         if args.replications is not None:
             config = config.scaled_down(replications=args.replications)
         manifest = shard_fabric.compile_manifest(
-            config, num_shards=args.shards, warm_start=args.warm_start
+            config, num_shards=args.shards
         )
         shard_fabric.save_manifest(manifest, args.output)
         print(
             f"wrote {args.output}: {manifest.num_cells} cell(s) of "
             f"{config.name} in {manifest.num_shards} shard(s)"
-            + (
-                f", {len(manifest.seed_edges)} seed edge(s)"
-                if manifest.warm_start
-                else ""
-            )
         )
         return 0
 
@@ -1484,7 +1396,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 flags.append("torn trailing record")
             print(
                 f"shard {entry['shard']}: {entry['done']}/{entry['cells']} "
-                f"cell(s), {entry['seeds']} seed(s)"
+                "cell(s)"
                 + (f"  [{', '.join(flags)}]" if flags else "")
             )
         print("sweep complete" if complete else "sweep incomplete")
@@ -1504,9 +1416,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         result.to_json(args.json)
         print(f"wrote {args.json}")
     if args.diff_serial:
-        serial = run_experiment(
-            manifest.config, warm_start=manifest.warm_start
-        )
+        serial = run_experiment(manifest.config)
         if _rows_without_elapsed(result) == _rows_without_elapsed(serial):
             print(
                 "diff-serial: merged rows identical to the serial run "

@@ -32,17 +32,10 @@ from repro.core.hetero import (
 )
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
-    AllocationCache,
-    CompactAllocation,
     IncrementalAllocator,
     IncrementalStats,
     WarmStartResult,
-    database_fingerprint,
-    insert_item,
-    remove_item,
-    update_frequency,
     warm_start_refine,
-    workload_fingerprint,
 )
 from repro.core.item import DataItem
 from repro.core.partition import (
@@ -96,18 +89,11 @@ __all__ = [
     "HeteroCDSResult",
     "HeteroDRPCDSAllocator",
     "assign_groups_to_bandwidths",
-    "insert_item",
-    "remove_item",
-    "update_frequency",
     "DEFAULT_REGRESSION_GUARD",
-    "AllocationCache",
-    "CompactAllocation",
     "IncrementalAllocator",
     "IncrementalStats",
     "WarmStartResult",
-    "database_fingerprint",
     "warm_start_refine",
-    "workload_fingerprint",
     "Allocator",
     "AllocationOutcome",
     "DRPAllocator",

@@ -26,7 +26,6 @@ from repro.core.cost import (
 )
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
-from repro.core.incremental import DEFAULT_REGRESSION_GUARD, warm_start_refine
 
 __all__ = [
     "AllocationOutcome",
@@ -75,18 +74,11 @@ class Allocator(ABC):
     """Interface of every channel-allocation algorithm.
 
     Subclasses implement :meth:`_allocate`; the public :meth:`allocate`
-    adds timing and consistent outcome packaging.  Algorithms that can
-    exploit a previous allocation as a warm-start seed set
-    :attr:`supports_warm_start` and implement :meth:`_allocate_warm`;
-    every other algorithm silently ignores a supplied seed, so callers
-    (the sweep machinery) can pass seeds unconditionally.
+    adds timing and consistent outcome packaging.
     """
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    #: True for algorithms implementing :meth:`_allocate_warm`.
-    supports_warm_start: bool = False
 
     @abstractmethod
     def _allocate(
@@ -94,38 +86,13 @@ class Allocator(ABC):
     ) -> ChannelAllocation:
         """Produce an allocation (subclass hook)."""
 
-    def _allocate_warm(
-        self,
-        database: BroadcastDatabase,
-        num_channels: int,
-        initial: Any,
-    ) -> ChannelAllocation:
-        """Warm-started variant (hook for ``supports_warm_start`` subclasses)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support warm starts"
-        )
-
     def allocate(
-        self,
-        database: BroadcastDatabase,
-        num_channels: int,
-        *,
-        initial: Any = None,
+        self, database: BroadcastDatabase, num_channels: int
     ) -> AllocationOutcome:
-        """Run the algorithm and return a timed, packaged outcome.
-
-        ``initial`` is an optional warm-start seed — a previous
-        :class:`ChannelAllocation`, a
-        :class:`~repro.core.incremental.CompactAllocation` or plain
-        per-channel id lists over the same catalogue.  Used only when
-        the algorithm :attr:`supports_warm_start`; ignored otherwise.
-        """
+        """Run the algorithm and return a timed, packaged outcome."""
         self._last_metadata: Dict[str, Any] = {}
         start = time.perf_counter()
-        if initial is not None and self.supports_warm_start:
-            allocation = self._allocate_warm(database, num_channels, initial)
-        else:
-            allocation = self._allocate(database, num_channels)
+        allocation = self._allocate(database, num_channels)
         elapsed = time.perf_counter() - start
         return AllocationOutcome(
             allocation=allocation,
@@ -162,26 +129,12 @@ class DRPAllocator(Allocator):
 
 
 class DRPCDSAllocator(Allocator):
-    """The paper's proposal: DRP rough allocation + CDS fine tuning.
-
-    Also the only paper algorithm with a warm-start path: given a
-    previous allocation over the same catalogue it re-seeds CDS from it
-    (guarded by ``regression_guard`` — see
-    :func:`repro.core.incremental.warm_start_refine`) instead of
-    running CDS from a fresh DRP seed.
-    """
+    """The paper's proposal: DRP rough allocation + CDS fine tuning."""
 
     name = "drp-cds"
-    supports_warm_start = True
 
-    def __init__(
-        self,
-        *,
-        max_cds_iterations: Optional[int] = None,
-        regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
-    ) -> None:
+    def __init__(self, *, max_cds_iterations: Optional[int] = None) -> None:
         self._max_cds_iterations = max_cds_iterations
-        self._regression_guard = regression_guard
 
     def _allocate(
         self, database: BroadcastDatabase, num_channels: int
@@ -202,30 +155,6 @@ class DRPCDSAllocator(Allocator):
             cds_delta_evaluations=refined.delta_evaluations,
         )
         return refined.allocation
-
-    def _allocate_warm(
-        self,
-        database: BroadcastDatabase,
-        num_channels: int,
-        initial: Any,
-    ) -> ChannelAllocation:
-        result = warm_start_refine(
-            database,
-            num_channels,
-            initial,
-            regression_guard=self._regression_guard,
-            max_iterations=self._max_cds_iterations,
-        )
-        self._note(
-            warm_start=True,
-            warm_mode=result.mode,
-            warm_moves=result.warm_moves,
-            cds_moves=result.warm_moves or result.cold_moves,
-            warm_fallback=result.mode == "fallback",
-            warm_cost=result.warm_cost,
-            cold_estimate=result.cold_estimate,
-        )
-        return result.allocation
 
 
 class CDSOnlyAllocator(Allocator):

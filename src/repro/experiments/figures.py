@@ -147,7 +147,6 @@ def run_figure(
     replications: Optional[int] = None,
     workers: Union[int, str, None] = None,
     cell_timeout: Optional[float] = None,
-    warm_start: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Tuple[ExperimentConfig, ExperimentResult]:
     """Regenerate one figure's data, optionally scaled down or fanned out.
@@ -156,8 +155,7 @@ def run_figure(
     resolves the figure's config, applies a replication override, and
     runs it through :func:`~repro.experiments.runner.run_experiment`
     with the requested worker count (serial and parallel runs produce
-    identical rows) and warm-start setting.  Returns
-    ``(config, result)``.
+    identical rows).  Returns ``(config, result)``.
     """
     from repro.experiments.runner import run_experiment
 
@@ -169,6 +167,5 @@ def run_figure(
         progress=progress,
         workers=workers,
         cell_timeout=cell_timeout,
-        warm_start=warm_start,
     )
     return config, result

@@ -48,6 +48,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -60,7 +61,6 @@ import repro.baselines  # noqa: F401  (registers baseline allocators)
 from repro import obs
 from repro.core.cost import average_waiting_time
 from repro.core.database import BroadcastDatabase
-from repro.core.incremental import CompactAllocation
 from repro.core.scheduler import make_allocator
 from repro.experiments.config import ExperimentConfig
 from repro.workloads.generator import WorkloadSpec, generate_database
@@ -74,6 +74,7 @@ __all__ = [
     "resolve_workers",
     "build_cell_grid",
     "run_cell",
+    "iter_outcomes",
     "execute_cells",
     "map_ordered",
 ]
@@ -126,11 +127,6 @@ class CellOutcome:
     finished_unix: Optional[float] = None
     spans: Optional[Tuple[Dict[str, Any], ...]] = None
     metrics: Optional[Dict[str, Any]] = None
-    #: The cell's allocation as a compact item-id→channel vector;
-    #: populated only for warm-start sweeps (``collect_seed=True``), so
-    #: later cells can warm-start from it.  Stripped before outcomes
-    #: leave :func:`execute_cells` — it exists to ride the result pipe.
-    seed_result: Optional[CompactAllocation] = None
 
 
 class WorkloadMemo:
@@ -234,17 +230,8 @@ def run_cell(
     config: ExperimentConfig,
     spec: CellSpec,
     memo: Optional[WorkloadMemo] = None,
-    *,
-    warm_seed: Optional[CompactAllocation] = None,
-    collect_seed: bool = False,
 ) -> CellOutcome:
     """Execute one cell, capturing any failure as a recorded error.
-
-    ``warm_seed`` — optional compact allocation from a neighbouring
-    finished cell; it is handed to the allocator as a warm-start seed
-    (algorithms without warm-start support ignore it).  With
-    ``collect_seed`` the outcome carries the cell's own allocation in
-    compact form so the scheduler can seed later cells from it.
 
     Emits an ``experiment.cell`` span (worker pid, sweep coordinates,
     outcome or error tag) on whatever tracer is active in the executing
@@ -258,7 +245,6 @@ def run_cell(
         replication=spec.replication,
         algorithm=spec.algorithm,
         worker_pid=os.getpid(),
-        warm_seeded=warm_seed is not None,
     ) as span:
         try:
             value = config.sweep_values[spec.value_index]
@@ -273,9 +259,7 @@ def run_cell(
                 memo.get(workload) if memo is not None else generate_database(workload)
             )
             allocator = make_allocator(spec.algorithm)
-            outcome = allocator.allocate(
-                database, point.num_channels, initial=warm_seed
-            )
+            outcome = allocator.allocate(database, point.num_channels)
             span.update(cost=outcome.cost, compute_seconds=outcome.elapsed_seconds)
             registry = obs.get_metrics()
             if registry.enabled:
@@ -286,8 +270,6 @@ def run_cell(
                 registry.histogram("experiment.cell_seconds").observe(
                     outcome.elapsed_seconds
                 )
-                if warm_seed is not None:
-                    registry.counter("experiment.warm_seeded_cells").inc()
             return CellOutcome(
                 value_index=spec.value_index,
                 replication=spec.replication,
@@ -300,13 +282,6 @@ def run_cell(
                 worker_pid=os.getpid(),
                 started_unix=started,
                 finished_unix=time.time(),
-                seed_result=(
-                    CompactAllocation.from_allocation(
-                        outcome.allocation, cost=outcome.cost
-                    )
-                    if collect_seed
-                    else None
-                ),
             )
         except Exception as exc:  # noqa: BLE001 — degrade to a recorded error
             message = f"{type(exc).__name__}: {exc}"
@@ -381,20 +356,10 @@ def _initialize_worker(
         ).start()
 
 
-def _run_cell_in_worker(
-    spec: CellSpec,
-    warm_seed: Optional[CompactAllocation] = None,
-    collect_seed: bool = False,
-) -> CellOutcome:
+def _run_cell_in_worker(spec: CellSpec) -> CellOutcome:
     if _WORKER_CONFIG is None:  # pragma: no cover — initializer always ran
         raise RuntimeError("worker used before initialization")
-    outcome = run_cell(
-        _WORKER_CONFIG,
-        spec,
-        _WORKER_MEMO,
-        warm_seed=warm_seed,
-        collect_seed=collect_seed,
-    )
+    outcome = run_cell(_WORKER_CONFIG, spec, _WORKER_MEMO)
     # Attach this cell's observability payload to the outcome so it can
     # ride the existing result pipe; draining keeps worker memory flat.
     tracer = obs.get_tracer()
@@ -411,10 +376,10 @@ def _run_cell_in_worker(
 class _LiveCollector:
     """Parent-side drain of worker live snapshots into obs overlays.
 
-    Active only when a live consumer (``/metrics`` server or JSONL
-    stream) is running *and* metrics are enabled; otherwise ``queue``
-    stays ``None`` and the pool runs exactly as before — zero extra
-    processes, threads or pickling.  When active, a
+    Active only when ``enabled``, a live consumer (``/metrics`` server
+    or JSONL stream) is running *and* metrics are enabled; otherwise
+    ``queue`` stays ``None`` and the pool runs exactly as before — zero
+    extra processes, threads or pickling.  When active, a
     ``multiprocessing.Manager`` queue (picklable through the pool
     initializer, unlike a raw ``mp.Queue``) carries ``(pid, snapshot)``
     pairs from the worker shippers to a parent daemon thread that folds
@@ -423,14 +388,19 @@ class _LiveCollector:
     untouched, so final metrics stay bitwise-identical to serial.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, enabled: bool = True) -> None:
+        self._enabled = enabled
         self.queue: Any = None
         self._manager: Any = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
     def __enter__(self) -> "_LiveCollector":
-        if not (obs.live_telemetry_active() and obs.get_metrics().enabled):
+        if not (
+            self._enabled
+            and obs.live_telemetry_active()
+            and obs.get_metrics().enabled
+        ):
             return self
         import multiprocessing
 
@@ -544,51 +514,41 @@ def _collect_outcome(
     return outcome
 
 
-def execute_cells(
+def iter_outcomes(
     config: ExperimentConfig,
     cells: Sequence[CellSpec],
     *,
     workers: int = 1,
     cell_timeout: Optional[float] = None,
-    warm_start: bool = False,
-) -> List[CellOutcome]:
-    """Run ``cells`` and return their outcomes in the given order.
+    live: bool = True,
+) -> Iterator[CellOutcome]:
+    """Run ``cells``, yielding each outcome in the given order.
 
     ``workers=1`` executes inline (same code path, no processes, no
-    timeout enforcement); ``workers>1`` fans out over a process pool.
-    The returned list is always ordered like ``cells`` regardless of
-    completion order — the ordered merge that makes parallel runs
-    reproduce serial results exactly.
-
-    ``warm_start`` routes through the wave scheduler of
-    :func:`_execute_cells_warm`: warm-startable algorithms receive the
-    nearest finished neighbour's allocation as a compact seed.  Results
-    may legitimately differ from a cold sweep (CDS converges to a
-    different local optimum), but stay identical across worker counts.
+    timeout enforcement); ``workers>1`` fans out over a process pool
+    and yields each outcome as soon as it and every earlier cell are
+    collected — the ordered merge that makes parallel runs reproduce
+    serial results exactly, and that lets a shard record each cell the
+    moment it lands.  ``live=False`` keeps the pool's workers from
+    shipping live metrics snapshots (see :class:`_LiveCollector`).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = list(cells)
-    if warm_start:
-        return _execute_cells_warm(
-            config, cells, workers=workers, cell_timeout=cell_timeout
-        )
-    if workers == 1 or len(cells) <= 1:
+    if workers <= 1 or len(cells) <= 1:
         memo = WorkloadMemo()
-        return [run_cell(config, spec, memo) for spec in cells]
-
+        for spec in cells:
+            yield run_cell(config, spec, memo)
+        return
     tracer = obs.get_tracer()
     registry = obs.get_metrics()
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    with _LiveCollector() as live, ProcessPoolExecutor(
+    with _LiveCollector(enabled=live) as collector, ProcessPoolExecutor(
         max_workers=min(workers, len(cells)),
         initializer=_initialize_worker,
-        initargs=(config, obs.worker_options(), live.queue),
+        initargs=(config, obs.worker_options(), collector.queue),
     ) as pool:
         submitted_unix = time.time()
         futures = [pool.submit(_run_cell_in_worker, spec) for spec in cells]
-        for index, (spec, future) in enumerate(zip(cells, futures)):
-            outcomes[index] = _collect_outcome(
+        for spec, future in zip(cells, futures):
+            yield _collect_outcome(
                 spec,
                 future,
                 cell_timeout=cell_timeout,
@@ -596,121 +556,25 @@ def execute_cells(
                 registry=registry,
                 submitted_unix=submitted_unix,
             )
-    return [outcome for outcome in outcomes if outcome is not None]
 
 
-def _execute_cells_warm(
+def execute_cells(
     config: ExperimentConfig,
-    cells: List[CellSpec],
+    cells: Sequence[CellSpec],
     *,
-    workers: int,
-    cell_timeout: Optional[float],
+    workers: int = 1,
+    cell_timeout: Optional[float] = None,
 ) -> List[CellOutcome]:
-    """Warm-start wave scheduler over the sweep grid.
+    """Run ``cells`` and return their outcomes in the given order.
 
-    Seeds follow a fixed dependency DAG so that every cell receives the
-    same seed for any worker count (determinism across ``workers``):
-
-    * ``(value, replication 0)`` cells are seeded by the replication-0
-      result of the **nearest smaller sweep value** whose problem shape
-      (N, K) matches — "the nearest finished value's allocation", shipped
-      to the worker as a compact item-id→channel vector;
-    * ``(value, replication > 0)`` cells are seeded by their own value's
-      replication-0 result — the cross-replication reuse of the cell's
-      allocation cache.
-
-    Execution proceeds value by value in two sub-waves (replication 0,
-    then the rest), so the DAG's edges always point at already-finished
-    waves.  Sweeps over N or K yield no compatible neighbours and every
-    replication-0 cell runs cold — exactly the cold sweep.
+    The list form of :func:`iter_outcomes`: the returned list is always
+    ordered like ``cells`` regardless of completion order.
     """
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    rep0: Dict[Tuple[int, str], CompactAllocation] = {}
-
-    def shape_ok(seed: CompactAllocation, value_index: int) -> bool:
-        point = config.point_parameters(config.sweep_values[value_index])
-        return (
-            seed.num_channels == point.num_channels
-            and len(seed.item_ids) == point.num_items
-        )
-
-    def seed_for(spec: CellSpec) -> Optional[CompactAllocation]:
-        if spec.replication > 0:
-            seed = rep0.get((spec.value_index, spec.algorithm))
-            if seed is not None and shape_ok(seed, spec.value_index):
-                return seed
-        for value_index in range(spec.value_index - 1, -1, -1):
-            seed = rep0.get((value_index, spec.algorithm))
-            if seed is not None and shape_ok(seed, spec.value_index):
-                return seed
-        return None
-
-    def harvest(index: int, spec: CellSpec, outcome: CellOutcome) -> None:
-        if outcome.seed_result is not None:
-            if spec.replication == 0:
-                rep0[(spec.value_index, spec.algorithm)] = outcome.seed_result
-            outcome = replace(outcome, seed_result=None)
-        outcomes[index] = outcome
-
-    indexed = list(enumerate(cells))
-    if workers == 1 or len(cells) <= 1:
-        memo = WorkloadMemo()
-        for index, spec in indexed:
-            harvest(
-                index,
-                spec,
-                run_cell(
-                    config,
-                    spec,
-                    memo,
-                    warm_seed=seed_for(spec),
-                    collect_seed=spec.replication == 0,
-                ),
-            )
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    tracer = obs.get_tracer()
-    registry = obs.get_metrics()
-    by_value: Dict[int, List[Tuple[int, CellSpec]]] = {}
-    for index, spec in indexed:
-        by_value.setdefault(spec.value_index, []).append((index, spec))
-    with _LiveCollector() as live, ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)),
-        initializer=_initialize_worker,
-        initargs=(config, obs.worker_options(), live.queue),
-    ) as pool:
-        for value_index in sorted(by_value):
-            members = by_value[value_index]
-            for wave in (
-                [(i, s) for i, s in members if s.replication == 0],
-                [(i, s) for i, s in members if s.replication > 0],
-            ):
-                if not wave:
-                    continue
-                submitted_unix = time.time()
-                futures = [
-                    pool.submit(
-                        _run_cell_in_worker,
-                        spec,
-                        seed_for(spec),
-                        spec.replication == 0,
-                    )
-                    for _, spec in wave
-                ]
-                for (index, spec), future in zip(wave, futures):
-                    harvest(
-                        index,
-                        spec,
-                        _collect_outcome(
-                            spec,
-                            future,
-                            cell_timeout=cell_timeout,
-                            tracer=tracer,
-                            registry=registry,
-                            submitted_unix=submitted_unix,
-                        ),
-                    )
-    return [outcome for outcome in outcomes if outcome is not None]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return list(
+        iter_outcomes(config, cells, workers=workers, cell_timeout=cell_timeout)
+    )
 
 
 def map_ordered(

@@ -174,7 +174,6 @@ def run_experiment(
     progress: Optional[ProgressCallback] = None,
     workers: Union[int, str, None] = None,
     cell_timeout: Optional[float] = None,
-    warm_start: bool = False,
 ) -> ExperimentResult:
     """Execute every (sweep value × replication × algorithm) cell.
 
@@ -197,17 +196,6 @@ def run_experiment(
         cell's result; a slower cell is recorded as a
         :class:`~repro.experiments.records.CellError` instead of
         stalling the sweep forever.
-    warm_start:
-        Seed warm-startable allocators (DRP-CDS) with the nearest
-        finished sweep cell's allocation — replication 0 of each sweep
-        value warm-starts from the previous value, further replications
-        from replication 0 (see
-        :func:`repro.experiments.parallel.execute_cells`).  Always runs
-        through the fan-out engine (``workers=None`` behaves as
-        ``workers=1``) so serial and parallel warm sweeps share one
-        scheduler and stay identical across worker counts.  Costs may
-        differ slightly from a cold sweep: CDS is a local search and a
-        different (guarded) seed can converge to a different optimum.
 
     Returns
     -------
@@ -216,8 +204,6 @@ def run_experiment(
         are listed in ``result.errors``.
     """
     resolved = resolve_workers(workers)
-    if warm_start and resolved is None:
-        resolved = 1  # one warm implementation: always the fan-out engine
     grid_size = (
         len(config.sweep_values) * config.replications * len(config.algorithms)
     )
@@ -227,7 +213,6 @@ def run_experiment(
         sweep_parameter=config.sweep_parameter,
         cells=grid_size,
         workers=resolved if resolved is not None else 0,
-        warm_start=warm_start,
     ) as span:
         if resolved is None:
             outcomes = _serial_outcomes(config)
@@ -237,7 +222,6 @@ def run_experiment(
                 build_cell_grid(config),
                 workers=resolved,
                 cell_timeout=cell_timeout,
-                warm_start=warm_start,
             )
         result = merge_outcomes(config, outcomes, progress)
         span.update(rows=len(result.rows), errors=len(result.errors))

@@ -12,8 +12,8 @@ serial run:
 * :func:`compile_manifest` deterministically partitions the canonical
   cell grid of an :class:`~repro.experiments.config.ExperimentConfig`
   into ``num_shards`` contiguous slices and records the plan — config,
-  config digest, shard → cell assignments, and the warm-start seed DAG
-  edges — in a versioned ``manifest.json``.
+  config digest and shard → cell assignments — in a versioned
+  ``manifest.json``.
 * :func:`run_shard` executes one shard, streaming every completed cell
   into that shard's append-only store
   (:class:`~repro.experiments.store.ShardStore`) the moment it
@@ -27,26 +27,11 @@ serial run:
   wall-clock ``elapsed`` aggregates excepted, matching the existing
   serial/parallel convention.
 
-Warm starts across shard boundaries
------------------------------------
-The two-subwave seed DAG of
-:func:`~repro.experiments.parallel._execute_cells_warm` gives every
-cell a seed that depends only on the grid, never on scheduling.  The
-fabric extends that across shard boundaries: a replication-0 cell
-persists its compact assignment vector as a ``seed`` record, and a
-shard that needs a seed produced elsewhere either **consumes** it from
-the producing shard's store (a read-only scan — safe while the producer
-is live) or **recomputes it cold**, replaying the producer's seed chain
-deterministically in-process.  Both paths hand the consumer the exact
-allocation the single-process scheduler would have, so merged rows do
-not depend on which path ran.
-
 Determinism requires one discipline: every shard must be compiled into
-the same manifest (the config digest is checked at every step), and
-resolution of seeds mirrors ``_execute_cells_warm.seed_for`` exactly —
-replication > 0 consumes its own value's replication-0 result; a
-replication-0 cell consumes the nearest smaller sweep value whose
-problem shape matches.
+the same manifest (the config digest is checked at every step).  Every
+cell is independent — its workload is re-derived from the config's
+seed scheme — so no shard ever reads another shard's store before the
+merge.
 """
 
 from __future__ import annotations
@@ -55,35 +40,21 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.incremental import CompactAllocation
 from repro.exceptions import ShardError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CellOutcome,
     CellSpec,
-    WorkloadMemo,
-    _collect_outcome,
-    _initialize_worker,
-    _run_cell_in_worker,
     build_cell_grid,
+    iter_outcomes,
     resolve_workers,
-    run_cell,
 )
-from repro.experiments.records import ExperimentResult, cell_key, identity_key
+from repro.experiments.records import ExperimentResult, cell_key
 from repro.experiments.store import ShardStore, store_chunk_path
 from repro.obs.manifest import config_digest
 
@@ -158,19 +129,13 @@ class ShardManifest:
     """The compiled execution plan of one sharded sweep.
 
     ``assignments[s]`` lists the canonical grid indices shard ``s``
-    owns; ``seed_edges`` lists the warm-start DAG as
-    ``(consumer_grid_index, producer_grid_index)`` pairs (empty for
-    cold sweeps) — the static, error-free projection of the runtime
-    resolution, recorded so layouts can be audited without re-deriving
-    the DAG.
+    owns.
     """
 
     config: ExperimentConfig
     config_sha256: str
     num_shards: int
-    warm_start: bool
     assignments: Tuple[Tuple[int, ...], ...]
-    seed_edges: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def num_cells(self) -> int:
@@ -183,65 +148,14 @@ class ShardManifest:
             "config_sha256": self.config_sha256,
             "num_shards": self.num_shards,
             "num_cells": self.num_cells,
-            "warm_start": self.warm_start,
             "assignments": [list(indices) for indices in self.assignments],
-            "seed_edges": [list(edge) for edge in self.seed_edges],
         }
-
-
-def _shape_compatible(
-    config: ExperimentConfig, producer_index: int, consumer_index: int
-) -> bool:
-    """Whether the producer value's allocation can seed the consumer.
-
-    Mirrors ``_execute_cells_warm.shape_ok``: a replication-0 result of
-    sweep value ``p`` has exactly ``point(p)``'s (K, N) shape, so shape
-    compatibility is a pure function of the two sweep points.
-    """
-    producer = config.point_parameters(config.sweep_values[producer_index])
-    consumer = config.point_parameters(config.sweep_values[consumer_index])
-    return (
-        producer.num_channels == consumer.num_channels
-        and producer.num_items == consumer.num_items
-    )
-
-
-def _static_seed_edges(
-    config: ExperimentConfig, grid: Sequence[CellSpec]
-) -> Tuple[Tuple[int, int], ...]:
-    """The seed DAG assuming every replication-0 cell succeeds.
-
-    Runtime resolution (:func:`run_shard`) re-derives edges on the fly
-    so it can skip over producers that errored; these static edges are
-    the intended plan, written into the manifest for audit and for the
-    shard-layouts oracle.
-    """
-    index_of = {
-        (spec.value_index, spec.replication, spec.algorithm): index
-        for index, spec in enumerate(grid)
-    }
-    edges: List[Tuple[int, int]] = []
-    for index, spec in enumerate(grid):
-        if spec.replication > 0:
-            producer = index_of.get((spec.value_index, 0, spec.algorithm))
-            if producer is not None:
-                edges.append((index, producer))
-            continue
-        for value_index in range(spec.value_index - 1, -1, -1):
-            if not _shape_compatible(config, value_index, spec.value_index):
-                continue
-            producer = index_of.get((value_index, 0, spec.algorithm))
-            if producer is not None:
-                edges.append((index, producer))
-                break
-    return tuple(edges)
 
 
 def compile_manifest(
     config: ExperimentConfig,
     *,
     num_shards: int,
-    warm_start: bool = False,
 ) -> ShardManifest:
     """Partition ``config``'s cell grid into ``num_shards`` shards.
 
@@ -259,9 +173,7 @@ def compile_manifest(
         raise ShardError(
             f"num_shards={num_shards} exceeds the grid's {len(grid)} cells"
         )
-    with obs.span(
-        "shard.compile", cells=len(grid), shards=num_shards, warm=warm_start
-    ):
+    with obs.span("shard.compile", cells=len(grid), shards=num_shards):
         total = len(grid)
         assignments = tuple(
             tuple(
@@ -272,14 +184,11 @@ def compile_manifest(
             )
             for shard in range(num_shards)
         )
-        edges = _static_seed_edges(config, grid) if warm_start else ()
     return ShardManifest(
         config=config,
         config_sha256=config_digest(config),
         num_shards=num_shards,
-        warm_start=warm_start,
         assignments=assignments,
-        seed_edges=edges,
     )
 
 
@@ -299,7 +208,11 @@ def load_manifest(path: Union[str, Path]) -> ShardManifest:
     the embedded config and compared to the stored one, so a
     hand-edited config cannot silently drift from the digest the stores
     were stamped with), and the assignment partition (every grid index
-    exactly once).
+    exactly once).  A manifest compiled for a warm-start sweep
+    (``warm_start: true`` or a non-empty ``seed_edges``, fields of
+    older manifests) is refused: sweep warm starts were removed, and
+    running it cold would mix cold rows into stores a warm run stamped
+    with the same config digest.
     """
     path = Path(path)
     try:
@@ -310,6 +223,13 @@ def load_manifest(path: Union[str, Path]) -> ShardManifest:
         raise ShardError(
             f"{path}: expected manifest schema {MANIFEST_SCHEMA!r}, "
             f"got {payload.get('schema')!r}"
+        )
+    if payload.get("warm_start") or payload.get("seed_edges"):
+        raise ShardError(
+            f"{path}: manifest of a warm-start sweep — sweep warm starts "
+            "(the seed DAG) were removed; compile the sweep again with "
+            "`repro shard compile` and run it into a fresh results "
+            "directory"
         )
     config = _config_from_jsonable(payload.get("config", {}))
     digest = config_digest(config)
@@ -340,12 +260,7 @@ def load_manifest(path: Union[str, Path]) -> ShardManifest:
         config=config,
         config_sha256=digest,
         num_shards=num_shards,
-        warm_start=bool(payload.get("warm_start", False)),
         assignments=assignments,
-        seed_edges=tuple(
-            (int(edge[0]), int(edge[1]))
-            for edge in payload.get("seed_edges", [])
-        ),
     )
 
 
@@ -363,7 +278,7 @@ def shard_cells(
 
 
 # ----------------------------------------------------------------------
-# Cell / seed record (de)serialization
+# Cell record (de)serialization
 # ----------------------------------------------------------------------
 def spec_key(config: ExperimentConfig, spec: CellSpec) -> str:
     """The stable identity key of one cell — the store's done-set key.
@@ -378,12 +293,6 @@ def spec_key(config: ExperimentConfig, spec: CellSpec) -> str:
         value=float(config.sweep_values[spec.value_index]),
         replication=spec.replication,
         seed=config.seed_for(spec.value_index, spec.replication),
-    )
-
-
-def _seed_key(value_index: int, algorithm: str) -> str:
-    return "seed" + identity_key(
-        (("value_index", value_index), ("algorithm", algorithm))
     )
 
 
@@ -422,27 +331,6 @@ def _outcome_from_payload(payload: Dict[str, Any]) -> CellOutcome:
         raise ShardError(f"malformed cell record payload: {exc}") from exc
 
 
-def _seed_to_payload(seed: CompactAllocation) -> Dict[str, Any]:
-    return {
-        "item_ids": list(seed.item_ids),
-        "assignment": list(seed.assignment),
-        "num_channels": seed.num_channels,
-        "cost": seed.cost,
-    }
-
-
-def _seed_from_payload(payload: Dict[str, Any]) -> CompactAllocation:
-    try:
-        return CompactAllocation(
-            item_ids=tuple(payload["item_ids"]),
-            assignment=tuple(int(c) for c in payload["assignment"]),
-            num_channels=int(payload["num_channels"]),
-            cost=float(payload["cost"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ShardError(f"malformed seed record payload: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # Running one shard
 # ----------------------------------------------------------------------
@@ -456,143 +344,12 @@ class ShardRunReport:
     computed: int
     cell_errors: int
     remaining: int
-    seeds_imported: int = 0
-    seed_recomputes: int = 0
     torn_records_dropped: int = 0
     stale_done_dropped: int = 0
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return dict(self.__dict__)
-
-
-class _SeedResolver:
-    """Runtime seed resolution mirroring ``_execute_cells_warm``.
-
-    Resolution order for the replication-0 result of (value, algorithm):
-
-    1. results harvested by this shard run,
-    2. ``seed`` records in this shard's own store (a previous run),
-    3. ``seed`` records in any other shard's store (read-only scan,
-       cached — consuming across the shard boundary),
-    4. deterministic cold recomputation, replaying the producer's own
-       seed chain in-process.  Never written back as a *cell* (the cell
-       belongs to its owning shard) but persisted as a ``seed`` record
-       so the next resume skips the replay.
-
-    All four paths yield the identical allocation — everything below a
-    seed is a deterministic function of the config — so merged rows
-    cannot depend on which path ran.
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        manifest: ShardManifest,
-        store: ShardStore,
-        results_dir: Path,
-        memo: WorkloadMemo,
-    ) -> None:
-        self.config = config
-        self.manifest = manifest
-        self.store = store
-        self.results_dir = results_dir
-        self.memo = memo
-        self.imported = 0
-        self.recomputed = 0
-        self._cache: Dict[Tuple[int, str], Optional[CompactAllocation]] = {}
-        self._foreign_seeds: Optional[Dict[str, Dict[str, Any]]] = None
-
-    def harvest(self, spec: CellSpec, outcome: CellOutcome) -> CellOutcome:
-        """Bank a just-finished replication-0 result, persisting it."""
-        if outcome.seed_result is not None:
-            self._cache[(spec.value_index, spec.algorithm)] = (
-                outcome.seed_result
-            )
-            self.store.append_seed(
-                _seed_key(spec.value_index, spec.algorithm),
-                _seed_to_payload(outcome.seed_result),
-            )
-            outcome = replace(outcome, seed_result=None)
-        elif spec.replication == 0 and outcome.error is not None:
-            # An errored producer yields no seed; record that so the
-            # downward scan skips it exactly like the in-process DAG.
-            self._cache.setdefault((spec.value_index, spec.algorithm), None)
-        return outcome
-
-    def _foreign(self) -> Dict[str, Dict[str, Any]]:
-        if self._foreign_seeds is None:
-            merged: Dict[str, Dict[str, Any]] = {}
-            for shard in range(self.manifest.num_shards):
-                if shard == self.store.shard_index:
-                    continue
-                merged.update(ShardStore.scan(self.results_dir, shard).seeds)
-            self._foreign_seeds = merged
-        return self._foreign_seeds
-
-    def _shape_ok(self, seed: CompactAllocation, value_index: int) -> bool:
-        point = self.config.point_parameters(
-            self.config.sweep_values[value_index]
-        )
-        return (
-            seed.num_channels == point.num_channels
-            and len(seed.item_ids) == point.num_items
-        )
-
-    def resolve_rep0(
-        self, value_index: int, algorithm: str
-    ) -> Optional[CompactAllocation]:
-        """The replication-0 allocation of (value, algorithm), or None
-        when that cell deterministically errors."""
-        key = (value_index, algorithm)
-        if key in self._cache:
-            return self._cache[key]
-        seed_key = _seed_key(value_index, algorithm)
-        payload = self.store.seeds.get(seed_key)
-        if payload is None:
-            payload = self._foreign().get(seed_key)
-        if payload is not None:
-            seed = _seed_from_payload(payload)
-            self._cache[key] = seed
-            self.imported += 1
-            return seed
-        # Cold recomputation: replay the producer cell (and, through
-        # seed_for, its own chain) exactly as the single-process
-        # scheduler would have run it.
-        warm = self.seed_for(CellSpec(value_index, 0, algorithm))
-        outcome = run_cell(
-            self.config,
-            CellSpec(value_index, 0, algorithm),
-            self.memo,
-            warm_seed=warm,
-            collect_seed=True,
-        )
-        self.recomputed += 1
-        registry = obs.get_metrics()
-        if registry.enabled:
-            registry.counter("shard.seed_recomputes").inc()
-        seed = outcome.seed_result
-        self._cache[key] = seed
-        if seed is not None:
-            self.store.append_seed(seed_key, _seed_to_payload(seed))
-        return seed
-
-    def seed_for(self, spec: CellSpec) -> Optional[CompactAllocation]:
-        """The warm seed for ``spec`` — ``_execute_cells_warm.seed_for``
-        with cross-shard resolution behind each lookup."""
-        if spec.replication > 0:
-            seed = self.resolve_rep0(spec.value_index, spec.algorithm)
-            if seed is not None and self._shape_ok(seed, spec.value_index):
-                return seed
-        for value_index in range(spec.value_index - 1, -1, -1):
-            if not _shape_compatible(
-                self.config, value_index, spec.value_index
-            ):
-                continue
-            seed = self.resolve_rep0(value_index, spec.algorithm)
-            if seed is not None and self._shape_ok(seed, spec.value_index):
-                return seed
-        return None
 
 
 class _ShardRecorder:
@@ -715,30 +472,22 @@ def run_shard(
             pending=len(pending),
             resumed=already_complete > 0,
             workers=pool_workers,
-            warm_start=manifest.warm_start,
         ):
             recorder = _ShardRecorder(config, store, len(specs), progress)
-            if pending:
-                if manifest.warm_start:
-                    _run_shard_warm(
-                        manifest,
-                        store,
-                        Path(results_dir),
-                        pending,
-                        recorder,
-                        workers=pool_workers,
-                        cell_timeout=cell_timeout,
-                    )
-                else:
-                    _run_shard_cold(
-                        config,
-                        pending,
-                        recorder,
-                        workers=pool_workers,
-                        cell_timeout=cell_timeout,
-                    )
-        resolver_imported = getattr(recorder, "seeds_imported", 0)
-        resolver_recomputed = getattr(recorder, "seed_recomputes", 0)
+            # Stream each cell into the store, in grid order, as it
+            # lands.  Pool workers ship no live metrics snapshots: the
+            # live view of a shard run follows the collected cells.
+            # ``outcomes`` leads the zip, so the generator runs to its
+            # end and shuts its pool down inside this span.
+            outcomes = iter_outcomes(
+                config,
+                pending,
+                workers=pool_workers,
+                cell_timeout=cell_timeout,
+                live=False,
+            )
+            for outcome, spec in zip(outcomes, pending):
+                recorder.record(spec, outcome)
         return ShardRunReport(
             shard_index=shard_index,
             total_cells=len(specs),
@@ -748,146 +497,12 @@ def run_shard(
             remaining=len(specs) - len(store.cells.keys() & {
                 spec_key(config, spec) for spec in specs
             }),
-            seeds_imported=resolver_imported,
-            seed_recomputes=resolver_recomputed,
             torn_records_dropped=store.torn_dropped,
             stale_done_dropped=store.stale_done_dropped,
             elapsed_seconds=time.time() - started,
         )
     finally:
         store.close()
-
-
-def _run_shard_cold(
-    config: ExperimentConfig,
-    pending: List[CellSpec],
-    recorder: _ShardRecorder,
-    *,
-    workers: int,
-    cell_timeout: Optional[float],
-) -> None:
-    """Cold cells: independent, so stream in grid order as they land."""
-    if workers <= 1 or len(pending) <= 1:
-        memo = WorkloadMemo()
-        for spec in pending:
-            recorder.record(spec, run_cell(config, spec, memo))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    tracer = obs.get_tracer()
-    registry = obs.get_metrics()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(pending)),
-        initializer=_initialize_worker,
-        initargs=(config, obs.worker_options()),
-    ) as pool:
-        submitted_unix = time.time()
-        futures = [
-            pool.submit(_run_cell_in_worker, spec) for spec in pending
-        ]
-        for spec, future in zip(pending, futures):
-            recorder.record(
-                spec,
-                _collect_outcome(
-                    spec,
-                    future,
-                    cell_timeout=cell_timeout,
-                    tracer=tracer,
-                    registry=registry,
-                    submitted_unix=submitted_unix,
-                ),
-            )
-
-
-def _run_shard_warm(
-    manifest: ShardManifest,
-    store: ShardStore,
-    results_dir: Path,
-    pending: List[CellSpec],
-    recorder: _ShardRecorder,
-    *,
-    workers: int,
-    cell_timeout: Optional[float],
-) -> None:
-    """Warm cells: the two-subwave scheduler restricted to this shard.
-
-    Values execute in ascending order, replication 0 before the rest —
-    the same wave structure as the single-process scheduler — with
-    every seed lookup routed through :class:`_SeedResolver`, so
-    off-shard producers are consumed from their stores or replayed
-    cold.
-    """
-    config = manifest.config
-    memo = WorkloadMemo()
-    resolver = _SeedResolver(manifest.config, manifest, store, results_dir, memo)
-
-    def harvest_and_record(spec: CellSpec, outcome: CellOutcome) -> None:
-        recorder.record(spec, resolver.harvest(spec, outcome))
-
-    by_value: Dict[int, List[CellSpec]] = {}
-    for spec in pending:
-        by_value.setdefault(spec.value_index, []).append(spec)
-
-    if workers <= 1 or len(pending) <= 1:
-        for value_index in sorted(by_value):
-            members = by_value[value_index]
-            for wave in (
-                [s for s in members if s.replication == 0],
-                [s for s in members if s.replication > 0],
-            ):
-                for spec in wave:
-                    harvest_and_record(
-                        spec,
-                        run_cell(
-                            config,
-                            spec,
-                            memo,
-                            warm_seed=resolver.seed_for(spec),
-                            collect_seed=spec.replication == 0,
-                        ),
-                    )
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tracer = obs.get_tracer()
-        registry = obs.get_metrics()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            initializer=_initialize_worker,
-            initargs=(config, obs.worker_options()),
-        ) as pool:
-            for value_index in sorted(by_value):
-                members = by_value[value_index]
-                for wave in (
-                    [s for s in members if s.replication == 0],
-                    [s for s in members if s.replication > 0],
-                ):
-                    if not wave:
-                        continue
-                    submitted_unix = time.time()
-                    futures = [
-                        pool.submit(
-                            _run_cell_in_worker,
-                            spec,
-                            resolver.seed_for(spec),
-                            spec.replication == 0,
-                        )
-                        for spec in wave
-                    ]
-                    for spec, future in zip(wave, futures):
-                        harvest_and_record(
-                            spec,
-                            _collect_outcome(
-                                spec,
-                                future,
-                                cell_timeout=cell_timeout,
-                                tracer=tracer,
-                                registry=registry,
-                                submitted_unix=submitted_unix,
-                            ),
-                        )
-    recorder.seeds_imported = resolver.imported
-    recorder.seed_recomputes = resolver.recomputed
 
 
 # ----------------------------------------------------------------------
@@ -993,7 +608,6 @@ def shard_status(
                 "done": done,
                 "missing": len(indices) - done,
                 "errors": errors,
-                "seeds": len(scan.seeds),
                 "torn_trailing_record": bool(scan.torn_dropped),
             }
         )

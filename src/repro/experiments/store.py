@@ -9,22 +9,21 @@ cells, nothing else.
 
 Record format — one JSON object per line::
 
-    {"kind": "cell"|"seed"|"header", "key": "...", "payload": {...},
+    {"kind": "cell"|"header", "key": "...", "payload": {...},
      "crc": <crc32 of the canonical payload JSON>}
 
 * ``cell`` records carry one completed
   :class:`~repro.experiments.parallel.CellOutcome` (success or recorded
   error), keyed by :func:`repro.experiments.records.cell_key`.
-* ``seed`` records persist the compact warm-start assignment vector
-  (:class:`~repro.core.incremental.CompactAllocation` fields) a
-  replication-0 cell produced, so *another shard* can consume the seed
-  across the shard boundary instead of recomputing the chain cold.
 * The ``header`` record pins the store schema and the config digest —
   resuming a shard against a store written for a different experiment
   fails loudly instead of silently merging apples into oranges.
 
-Crash semantics, in write order per cell: seed record (replication-0
-warm sweeps only) → cell record → done-set line.  Each line is a single
+Stores written by the removed sweep warm starts also hold ``seed``
+records; reading one raises :class:`~repro.exceptions.ShardError`, so
+such a store is never resumed or merged as if it were cold.
+
+Crash semantics, in write order per cell: cell record → done-set line.  Each line is a single
 buffered write followed by a flush, so a kill leaves at most one
 **torn trailing record** — a final line that is incomplete, unparsable
 or fails its CRC.  :meth:`ShardStore.open` detects it, truncates it
@@ -63,6 +62,8 @@ __all__ = [
 #: Schema tag written into every store's header record.
 STORE_SCHEMA = "repro.shards.store/v1"
 
+#: ``seed`` records were written only by the removed sweep warm starts;
+#: :func:`scan_chunk` refuses them.
 _KINDS = ("header", "cell", "seed")
 
 
@@ -118,14 +119,13 @@ def _decode_record(line: bytes) -> Optional[Tuple[str, str, Dict[str, Any]]]:
 class StoreScan:
     """Everything a read of one shard chunk yields.
 
-    ``cells`` and ``seeds`` map record key → payload; ``header`` is the
+    ``cells`` maps record key → payload; ``header`` is the
     header payload when present.  ``torn_dropped`` counts trailing
     records dropped as kill artifacts, ``valid_bytes`` is the offset of
     the end of the last valid record (the truncation point for repair).
     """
 
     cells: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    seeds: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     header: Optional[Dict[str, Any]] = None
     torn_dropped: int = 0
     valid_bytes: int = 0
@@ -135,8 +135,7 @@ def scan_chunk(path: Union[str, Path]) -> StoreScan:
     """Read one record chunk, tolerating a torn trailing record.
 
     Read-only — never modifies the file, so any process may scan any
-    shard's chunk (cross-shard seed lookups do exactly that) while the
-    owning shard is live.  A torn *trailing* record is dropped and
+    shard's chunk while the owning shard is live.  A torn *trailing* record is dropped and
     counted; an invalid record anywhere else raises
     :class:`~repro.exceptions.ShardError`, because an append-only log
     can only be damaged mid-file by something other than a kill.
@@ -167,12 +166,16 @@ def scan_chunk(path: Union[str, Path]) -> StoreScan:
             scan.torn_dropped += 1
             break
         kind, key, payload = decoded
+        if kind == "seed":
+            raise ShardError(
+                f"{path}: holds a seed record of a warm-start sweep — "
+                "sweep warm starts were removed; run the shard into a "
+                "fresh results directory"
+            )
         if kind == "header":
             scan.header = payload
-        elif kind == "cell":
-            scan.cells[key] = payload
         else:
-            scan.seeds[key] = payload
+            scan.cells[key] = payload
         offset += len(line) + 1
     scan.valid_bytes = offset
     return scan
@@ -207,14 +210,12 @@ class ShardStore:
         shard_index: int,
         *,
         cells: Dict[str, Dict[str, Any]],
-        seeds: Dict[str, Dict[str, Any]],
         torn_dropped: int,
         stale_done_dropped: int,
     ) -> None:
         self.directory = Path(directory)
         self.shard_index = shard_index
         self.cells = cells
-        self.seeds = seeds
         self.torn_dropped = torn_dropped
         self.stale_done_dropped = stale_done_dropped
         self._chunk: Optional[IO[bytes]] = None
@@ -278,7 +279,6 @@ class ShardStore:
             directory,
             shard_index,
             cells=scan.cells,
-            seeds=scan.seeds,
             torn_dropped=scan.torn_dropped,
             stale_done_dropped=len(stale),
         )
@@ -302,8 +302,7 @@ class ShardStore:
     ) -> StoreScan:
         """Read-only scan of a shard's chunk (no repair, no locks).
 
-        Safe on a live store: used for cross-shard seed lookups and by
-        the merge step.
+        Safe on a live store: used by the merge and status steps.
         """
         return scan_chunk(store_chunk_path(directory, shard_index))
 
@@ -334,14 +333,6 @@ class ShardStore:
             raise ShardError("store is closed")
         self._done.write(f"{key}\n".encode("utf-8"))
         self._done.flush()
-        return True
-
-    def append_seed(self, key: str, payload: Dict[str, Any]) -> bool:
-        """Persist one warm-start seed vector; False if already stored."""
-        if key in self.seeds:
-            return False
-        self._append_record("seed", key, payload)
-        self.seeds[key] = payload
         return True
 
     def is_done(self, key: str) -> bool:

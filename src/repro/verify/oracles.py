@@ -37,8 +37,7 @@ The four oracle pairs (named ``oracle.<slug>``):
     The sharded fabric (:mod:`repro.experiments.shards`) vs the serial
     runner — identical rows for any shard count, worker count and
     resume history, including a mid-shard interruption with a torn
-    trailing record and a stale done-set entry, and warm-start seeds
-    crossing shard boundaries.
+    trailing record and a stale done-set entry.
 ``warm-cold``
     Warm-started refinement on a drifted profile must respect the
     documented regression guard against a fresh DRP estimate, and must
@@ -584,12 +583,9 @@ def oracle_shard_layouts(
     * ``M=3`` cold, with one shard interrupted mid-run (``max_cells``),
       its store damaged with a torn trailing record *and* a stale
       done-set entry, then resumed, and another shard fanned out over
-      ``workers`` processes;
-    * ``M=3`` warm-started, shards executed out of order so seeds are
-      both recomputed cold and consumed across shard boundaries —
-      diffed against the serial *warm* sweep.
+      ``workers`` processes.
 
-    Expensive (runs the sweep five ways and spawns a pool), so the
+    Expensive (runs the sweep three ways and spawns a pool), so the
     fuzzer runs it once per session.
     """
     import tempfile
@@ -708,19 +704,6 @@ def oracle_shard_layouts(
             "M=3 kill/resume",
             merge_shards(cold, results_dir=cold_dir),
             serial,
-        )
-
-        warm_serial = run_experiment(config, warm_start=True)
-        warm = compile_manifest(config, num_shards=3, warm_start=True)
-        warm_dir = tmp_path / "warm"
-        # Last shard first: its seeds must recompute cold; the earlier
-        # shards then consume stored seeds across the boundary.
-        for shard in (2, 0, 1):
-            run_shard(warm, shard, results_dir=warm_dir)
-        diff(
-            "M=3 warm",
-            merge_shards(warm, results_dir=warm_dir),
-            warm_serial,
         )
     return violations
 

@@ -209,17 +209,22 @@ def save_trace_jsonl(
     :func:`iter_trace_jsonl`); compact keys keep million-request logs
     manageable.  A row whose id needs no JSON escape is written in the
     canonical form the reader's fast tier decodes (:func:`_match_block`).
+    The file is UTF-8, so non-ASCII ids are written raw, not escaped;
+    only an id UTF-8 cannot encode (a lone surrogate) keeps its
+    ``\\uXXXX`` escapes.
     """
     target = Path(path)
-    with target.open("w", encoding="utf-8") as handle:
+    with target.open("wb") as handle:
         for record in trace:
-            handle.write(
-                json.dumps(
-                    {"t": record.timestamp, "id": record.item_id},
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
+            row = {"t": record.timestamp, "id": record.item_id}
+            try:
+                line = json.dumps(
+                    row, separators=(",", ":"), ensure_ascii=False
+                ).encode("utf-8")
+            except UnicodeEncodeError:
+                line = json.dumps(row, separators=(",", ":")).encode("ascii")
+            handle.write(line)
+            handle.write(b"\n")
     return target
 
 

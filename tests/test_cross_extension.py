@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.database import BroadcastDatabase
 from repro.core.hetero import HeteroDRPCDSAllocator
-from repro.core.incremental import insert_item, update_frequency
+from repro.core.incremental import warm_start_refine
 from repro.core.item import DataItem
 from repro.core.scheduler import DRPCDSAllocator
 from repro.simulation.indexing import IndexedChannel
@@ -61,12 +61,20 @@ class TestEstimatedProfileDownstream:
         assert outcome.metadata["hetero_waiting_time"] > 0
 
     def test_incremental_edit_on_estimated_profile(self, estimated_db):
+        """Edit the estimated profile (one item turns hot) and
+        re-allocate warm from the program built on it."""
         allocation = DRPCDSAllocator().allocate(estimated_db, 4).allocation
-        database, refreshed = insert_item(
-            allocation, DataItem("breaking-news", 0.1, 2.0)
+        frequencies = estimated_db.frequencies.copy()
+        frequencies[0] += 0.1
+        edited = estimated_db.with_frequencies(
+            frequencies / frequencies.sum()
         )
-        assert "breaking-news" in database
-        assert refreshed.num_channels == 4
+        result = warm_start_refine(edited, 4, allocation)
+        assert result.mode in ("warm", "fallback")
+        assert result.allocation.num_channels == 4
+        assert sorted(result.allocation.database.item_ids) == sorted(
+            estimated_db.item_ids
+        )
 
 
 class TestMultimediaCatalogueDownstream:
@@ -95,9 +103,9 @@ class TestMultimediaCatalogueDownstream:
 
 class TestEditThenMeasure:
     def test_frequency_update_improves_measured_wait_for_item(self):
-        """Promote an item, re-polish, and verify the *simulator*
+        """Promote an item, re-allocate warm, and verify the *simulator*
         confirms its waiting time dropped — analytics and measurement
-        agree through the edit path."""
+        agree through the live service's re-allocation path."""
         database = generate_database(WorkloadSpec(num_items=30, seed=17))
         allocation = DRPCDSAllocator().allocate(database, 4).allocation
         cold = database.sorted_by_frequency()[-1].item_id
@@ -105,7 +113,13 @@ class TestEditThenMeasure:
         before = run_broadcast_simulation(
             allocation, num_requests=15000, seed=6
         )
-        new_db, promoted = update_frequency(allocation, cold, 2.0)
+        frequencies = database.frequencies.copy()
+        frequencies[database.index_of(cold)] = 2.0
+        promoted = warm_start_refine(
+            database.with_frequencies(frequencies / frequencies.sum()),
+            4,
+            allocation,
+        ).allocation
         after = run_broadcast_simulation(
             promoted, num_requests=15000, seed=6
         )

@@ -32,9 +32,15 @@ def test_a_good_output_passes(trace):
     assert check(_output(trace), trace) == []
 
 
-def test_per_layer_values_may_be_null():
-    assert check(_output(True, value=None), True) == []
-    assert check(_output(False, value=None), False) != []
+@pytest.mark.parametrize("trace", [False, True])
+def test_null_values_fail(trace):
+    assert check(_output(trace, value=None), trace) != []
+    # One null per-layer value is enough: a wrapped target that is gone
+    # reads null, and such a run must not pass.
+    name = declared(trace)[-1]
+    assert check(_with_value(_output(trace), name, "null"), trace) == [
+        f"{name}: None is not a finite number"
+    ]
 
 
 @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])

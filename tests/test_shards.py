@@ -41,6 +41,7 @@ from repro.experiments.shards import (
 from repro.experiments.parallel import build_cell_grid
 from repro.experiments.store import (
     ShardStore,
+    _encode_record,
     scan_chunk,
     store_chunk_path,
     store_done_path,
@@ -125,13 +126,48 @@ class TestManifest:
 
     def test_save_load_round_trip(self, tmp_path):
         config = small_config()
-        manifest = compile_manifest(config, num_shards=2, warm_start=True)
+        manifest = compile_manifest(config, num_shards=2)
         path = tmp_path / "manifest.json"
         save_manifest(manifest, path)
         loaded = load_manifest(path)
         assert loaded == manifest
         assert isinstance(loaded, ShardManifest)
-        assert loaded.warm_start is True
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"warm_start": True, "seed_edges": []},
+            {"warm_start": False, "seed_edges": [[2, 0]]},
+            {"warm_start": True, "seed_edges": [[2, 0]]},
+        ],
+        ids=["warm-flag", "seed-edges", "both"],
+    )
+    def test_load_rejects_warm_start_manifest(self, tmp_path, legacy):
+        """A warm-start sweep's manifest must not silently run cold."""
+        payload = compile_manifest(small_config(), num_shards=2).to_jsonable()
+        payload.update(legacy)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with pytest.raises(ShardError, match="warm-start sweep"):
+            load_manifest(path)
+
+    def test_legacy_cold_manifest_runs_and_merges(self, tmp_path):
+        """A cold manifest in the older layout, which also wrote
+        ``warm_start: false`` and ``seed_edges: []``, still loads, runs
+        and merges to the serial rows."""
+        config = small_config()
+        payload = compile_manifest(config, num_shards=2).to_jsonable()
+        payload.update({"warm_start": False, "seed_edges": []})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        manifest = load_manifest(path)
+        assert manifest == compile_manifest(config, num_shards=2)
+        results_dir = tmp_path / "results"
+        run_all_shards(manifest, results_dir)
+        merged = merge_shards(manifest, results_dir=results_dir)
+        assert rows_without_elapsed(merged) == rows_without_elapsed(
+            run_experiment(config)
+        )
 
     def test_load_rejects_unknown_schema(self, tmp_path):
         config = small_config()
@@ -214,10 +250,22 @@ class TestShardStore:
     def test_round_trip(self, tmp_path):
         with ShardStore.open(tmp_path, 0, config_sha256="abc") as store:
             assert store.append_cell("[k=1]", self.PAYLOAD)
-            assert store.append_seed("seed[k=1]", {"cost": 2.0})
         scan = ShardStore.scan(tmp_path, 0)
         assert scan.cells == {"[k=1]": self.PAYLOAD}
-        assert scan.seeds == {"seed[k=1]": {"cost": 2.0}}
+        assert scan.header["config_sha256"] == "abc"
+
+    def test_warm_start_seed_record_is_an_error(self, tmp_path):
+        """Stores of a warm-start sweep hold ``seed`` records; they are
+        refused rather than resumed or merged as if cold."""
+        with ShardStore.open(tmp_path, 0) as store:
+            store.append_cell("[k=1]", self.PAYLOAD)
+        chunk = store_chunk_path(tmp_path, 0)
+        with chunk.open("ab") as handle:
+            handle.write(_encode_record("seed", "seed[k=1]", {"cost": 2.0}))
+        with pytest.raises(ShardError, match="seed record"):
+            scan_chunk(chunk)
+        with pytest.raises(ShardError, match="seed record"):
+            ShardStore.open(tmp_path, 0)
 
     def test_duplicate_append_is_noop(self, tmp_path):
         with ShardStore.open(tmp_path, 0) as store:
@@ -432,49 +480,3 @@ class TestResume:
         assert resumed.already_complete == 2
         merged = merge_shards(manifest, results_dir=results_dir)
         assert rows_without_elapsed(merged) == rows_without_elapsed(serial)
-
-
-# ----------------------------------------------------------------------
-# Warm-start seed DAG across shard boundaries
-# ----------------------------------------------------------------------
-class TestWarmAcrossShards:
-    def warm_config(self, **overrides):
-        # 2 values x 3 replications x 2 algorithms = 12 cells; 3 shards
-        # of 4 cells cut across each value's replications, so rep>0
-        # cells land on a different shard than the rep0 whose warm seed
-        # they consume — the cross-shard seed DAG is actually exercised.
-        return small_config(
-            sweep_values=(3.0, 4.0), replications=3, **overrides
-        )
-
-    def test_warm_in_order_matches_serial_warm(self, tmp_path):
-        config = self.warm_config()
-        serial = run_experiment(config, warm_start=True)
-        manifest = compile_manifest(config, num_shards=3, warm_start=True)
-        reports = run_all_shards(manifest, tmp_path)
-        merged = merge_shards(manifest, results_dir=tmp_path)
-        assert rows_without_elapsed(merged) == rows_without_elapsed(serial)
-        # Later shards consumed earlier shards' persisted seeds.
-        assert any(report.seeds_imported > 0 for report in reports[1:])
-
-    def test_warm_out_of_order_matches_serial_warm(self, tmp_path):
-        config = self.warm_config()
-        serial = run_experiment(config, warm_start=True)
-        manifest = compile_manifest(config, num_shards=3, warm_start=True)
-        reports = {
-            shard: run_shard(manifest, shard, results_dir=tmp_path)
-            for shard in (2, 0, 1)
-        }
-        merged = merge_shards(manifest, results_dir=tmp_path)
-        assert rows_without_elapsed(merged) == rows_without_elapsed(serial)
-        # Shard 2 ran first with no upstream stores: the seed chain was
-        # recomputed cold, deterministically.
-        assert reports[2].seed_recomputes > 0
-
-    def test_seed_edges_stay_within_grid(self):
-        config = self.warm_config()
-        manifest = compile_manifest(config, num_shards=2, warm_start=True)
-        total = manifest.num_cells
-        for src, dst in manifest.seed_edges:
-            assert 0 <= src < total
-            assert 0 <= dst < total

@@ -463,6 +463,43 @@ class TestCanonicalWriters:
         path = save_trace_jsonl(trace, tmp_path / "trace.jsonl")
         self._assert_matched(path)
 
+    #: Ids outside ASCII: accented, CJK, astral-plane and the line
+    #: separators that ``str.splitlines`` (but not the file reader)
+    #: breaks on.
+    NON_ASCII_IDS = (
+        "caf\u00e9", "\u65e5\u672c", "\U0001f4fa-tv", "a\u2028b", "c\x85d",
+        "\u00ff\u0100",
+    )
+
+    def test_save_trace_jsonl_non_ascii_ids(self, tmp_path):
+        """A recorded non-ASCII catalogue takes the fast tier, and the
+        file reader yields what the line parser reads."""
+        trace = RequestTrace()
+        for k in range(3000):
+            trace.record(0.25 * k, self.NON_ASCII_IDS[k % len(self.NON_ASCII_IDS)])
+        path = save_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        assert b"\\u" not in path.read_bytes()
+        self._assert_matched(path)
+        with open(path, encoding="utf-8") as handle:
+            by_line = _exact(parse_trace_lines(handle, "src"))
+        assert _exact(iter_trace_jsonl(path)) == by_line
+        assert by_line == (
+            [(r.timestamp.hex(), r.item_id) for r in trace], None
+        )
+
+    def test_save_trace_jsonl_lone_surrogate_id(self, tmp_path):
+        """An id UTF-8 cannot encode is written escaped, not raised on."""
+        trace = RequestTrace()
+        trace.record(0.5, "caf\u00e9")
+        trace.record(1.0, "bad\ud800id")
+        trace.record(1.5, "plain")
+        path = save_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        lines = path.read_bytes().splitlines()
+        assert lines[1] == b'{"t":1.0,"id":"bad\\ud800id"}'
+        assert _exact(iter_trace_jsonl(path)) == (
+            [(r.timestamp.hex(), r.item_id) for r in trace], None
+        )
+
     def test_perfbench_writer(self, medium_db, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(PERFBENCH))
         pipeline = importlib.import_module("pipeline")

@@ -1,17 +1,16 @@
-"""Warm-start correctness: incremental engine, sweep seeding, reuse.
+"""Warm-start correctness: the incremental engine and zero-drift reuse.
 
-The incremental allocation engine (PR: warm-start CDS + allocation
-cache) promises two things this module pins down:
+The incremental allocation engine promises two things this module pins
+down:
 
 * **quality** — a guarded warm start is never worse than the documented
   regression guard, relative both to the cold DRP estimate (structural:
   holds for any input) and to the cold DRP+CDS pipeline on drifted Zipf
   profiles (derandomized hypothesis examples, so the assertion set is
   fixed);
-* **determinism** — warm sweeps produce identical rows for any worker
-  count, an unchanged profile reproduces the previous allocation
-  exactly, and the zero-drift epoch boundary reuses the program
-  verbatim.
+* **determinism** — an unchanged profile reproduces the previous
+  allocation exactly, and the zero-drift epoch boundary reuses the
+  program verbatim.
 """
 
 from __future__ import annotations
@@ -28,16 +27,12 @@ from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
-    AllocationCache,
-    CompactAllocation,
     IncrementalAllocator,
     database_fingerprint,
     warm_start_refine,
-    workload_fingerprint,
 )
 from repro.core.item import DataItem
 from repro.core.scheduler import DRPCDSAllocator
-from repro.exceptions import InvalidDatabaseError
 from repro.simulation.adaptive import run_adaptive_simulation
 from repro.verify.reference import cds_refine_reference
 from repro.workloads.generator import WorkloadSpec, generate_database
@@ -178,87 +173,21 @@ class TestZeroDriftReuse:
         assert any(r.reallocated for r in reports[1:])
 
 
-class TestWarmSweep:
-    """Warm sweeps: worker-count independence and cold fallback."""
-
-    @pytest.fixture
-    def config(self):
-        from repro.experiments.config import ExperimentConfig
-
-        return ExperimentConfig(
-            name="warm-sweep-test",
-            description="warm sweep identity",
-            sweep_parameter="skewness",
-            sweep_values=(0.4, 1.0),
-            algorithms=("drp-cds",),
-            num_items=40,
-            num_channels=4,
-            replications=2,
-            base_seed=11,
-        )
-
-    def test_warm_sweep_identical_across_worker_counts(self, config):
-        from repro.experiments.runner import run_experiment
-
-        serial = run_experiment(config, warm_start=True)
-        fanned = run_experiment(config, warm_start=True, workers=2)
-        rows = lambda result: [  # noqa: E731
-            (row.sweep_value, row.algorithm, row.mean_cost, row.replications)
-            for row in result.rows
-        ]
-        assert rows(serial) == rows(fanned)
-
-    def test_warm_sweep_within_guard_of_cold(self, config):
-        from repro.experiments.runner import run_experiment
-
-        cold = run_experiment(config)
-        warm = run_experiment(config, warm_start=True)
-        for cold_row, warm_row in zip(cold.rows, warm.rows):
-            assert warm_row.mean_cost <= (
-                cold_row.mean_cost * DEFAULT_REGRESSION_GUARD + 1e-9
-            )
-
-    def test_shape_changing_sweep_runs_cold(self):
-        """A num_channels sweep has no compatible neighbours."""
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import run_experiment
-
-        config = ExperimentConfig(
-            name="warm-k-sweep",
-            description="K sweep cannot warm across values",
-            sweep_parameter="num_channels",
-            sweep_values=(3, 5),
-            algorithms=("drp-cds",),
-            num_items=30,
-            replications=1,
-            base_seed=2,
-        )
-        cold = run_experiment(config)
-        warm = run_experiment(config, warm_start=True)
-        for cold_row, warm_row in zip(cold.rows, warm.rows):
-            assert warm_row.mean_cost == pytest.approx(cold_row.mean_cost)
-
-
 class TestIncrementalAllocator:
-    """Unit tests for the stateful engine and its cache."""
+    """Unit tests for the stateful engine."""
 
-    def test_cold_then_cache_then_warm(self):
+    def test_cold_then_warm(self):
         database = generate_database(WorkloadSpec(num_items=30, seed=7))
-        engine = IncrementalAllocator(4, cache=AllocationCache())
+        engine = IncrementalAllocator(4)
         first = engine.reallocate(database)
         assert first.mode == "cold"
-        again = engine.reallocate(database)
-        assert again.mode == "cache"
-        # The compact cache encoding preserves group membership (and
-        # therefore cost), not the within-group listing order.
-        assert [sorted(g) for g in again.allocation.as_id_lists()] == [
-            sorted(g) for g in first.allocation.as_id_lists()
-        ]
-        assert again.cost == pytest.approx(first.cost)
+        assert engine.cost == first.cost
         drifted = _drift(database, 8, 0.03)
         moved = engine.reallocate(drifted)
         assert moved.mode in ("warm", "fallback")
-        assert engine.stats.cache_hits == 1
+        assert engine.allocation is moved.allocation
+        assert engine.stats.cold_runs == 1
+        assert engine.stats.warm_runs + engine.stats.fallbacks == 1
 
     def test_channel_count_change_runs_cold(self):
         database = generate_database(WorkloadSpec(num_items=30, seed=7))
@@ -268,84 +197,22 @@ class TestIncrementalAllocator:
         assert result.mode == "cold"
         assert result.allocation.num_channels == 5
 
-    def test_update_frequencies_maintains_aggregates(self):
-        database = generate_database(WorkloadSpec(num_items=30, seed=7))
-        engine = IncrementalAllocator(4)
-        engine.reallocate(database)
-        target = database.items[0].item_id
-        engine.update_frequencies(
-            {target: database.items[0].frequency * 2.0}, refine=False
-        )
-        # The delta-maintained cost must equal a from-scratch recompute.
-        assert engine.cost == pytest.approx(
-            allocation_cost(engine.allocation), abs=1e-9
-        )
-        aggregates = engine.channel_aggregates
-        for (agg_f, agg_z), stats in zip(
-            aggregates, engine.allocation.channel_stats
-        ):
-            assert agg_f == pytest.approx(stats.frequency, abs=1e-12)
-            assert agg_z == pytest.approx(stats.size, abs=1e-12)
-
-    def test_update_frequencies_rejects_unknown_and_nonpositive(self):
-        database = generate_database(WorkloadSpec(num_items=10, seed=7))
-        engine = IncrementalAllocator(3)
-        engine.reallocate(database)
-        with pytest.raises(InvalidDatabaseError):
-            engine.update_frequencies({"nope": 0.1})
-        with pytest.raises(InvalidDatabaseError):
-            engine.update_frequencies({database.items[0].item_id: 0.0})
-
-    def test_shared_cache_across_engines(self):
-        database = generate_database(WorkloadSpec(num_items=20, seed=4))
-        cache = AllocationCache()
-        IncrementalAllocator(3, cache=cache).reallocate(database)
-        second = IncrementalAllocator(3, cache=cache).reallocate(database)
-        assert second.mode == "cache"
-        assert cache.stats()["hits"] == 1
-
-    def test_cache_lru_eviction(self):
-        cache = AllocationCache(max_entries=2)
-        database = generate_database(WorkloadSpec(num_items=6, seed=0))
-        allocation = drp_allocate(database, 2).allocation
-        for key in ("a", "b", "c"):
-            cache.put(key, allocation)
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert len(cache) == 2
-
-    def test_compact_allocation_roundtrip(self):
-        database = generate_database(WorkloadSpec(num_items=12, seed=1))
-        allocation = drp_allocate(database, 3).allocation
-        compact = CompactAllocation.from_allocation(allocation)
-        assert compact.compatible_with(database, 3)
-        restored = compact.to_allocation(database)
-        assert [sorted(g) for g in restored.as_id_lists()] == [
-            sorted(g) for g in allocation.as_id_lists()
-        ]
-        assert allocation_cost(restored) == pytest.approx(
-            allocation_cost(allocation)
-        )
-
     def test_fingerprints_distinguish_inputs(self):
         database = generate_database(WorkloadSpec(num_items=10, seed=0))
         assert database_fingerprint(database, 3) != database_fingerprint(
             database, 4
         )
-        base = workload_fingerprint(num_items=10, num_channels=3, seed=0)
-        assert base == workload_fingerprint(
-            num_items=10, num_channels=3, seed=0
+        assert database_fingerprint(database, 3) == database_fingerprint(
+            database.with_frequencies(database.frequencies), 3
         )
-        assert base != workload_fingerprint(
-            num_items=10, num_channels=3, seed=1
-        )
-        assert base != workload_fingerprint(
-            num_items=10, num_channels=3, seed=0, algorithm="drp-cds"
+        drifted = _drift(database, 1, 0.05)
+        assert database_fingerprint(database, 3) != database_fingerprint(
+            drifted, 3
         )
 
 
 class TestAdaptiveWarmStart:
-    """Warm-started adaptive loop: modes, guard, and cache wiring."""
+    """Warm-started adaptive loop: modes and guard."""
 
     def test_warm_loop_reports_warm_modes(self):
         database = generate_database(WorkloadSpec(num_items=30, seed=2))
@@ -358,4 +225,4 @@ class TestAdaptiveWarmStart:
         )
         assert reports[0].allocation_mode == "cold"
         later = {r.allocation_mode for r in reports[1:]}
-        assert later <= {"warm", "fallback", "cache", "reused"}
+        assert later <= {"warm", "fallback", "reused"}
