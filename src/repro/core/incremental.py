@@ -99,11 +99,9 @@ def _warm_seed(
     """
     if initial is None:
         return None
-    if isinstance(initial, ChannelAllocation) and (
-        initial.database.shares_ids_with(database)
-    ):
-        return initial if initial.num_channels == num_channels else None
     if isinstance(initial, ChannelAllocation):
+        if initial.database.shares_ids_with(database):
+            return initial if initial.num_channels == num_channels else None
         id_lists = initial.as_id_lists()
     else:
         id_lists = [list(ids) for ids in initial]
