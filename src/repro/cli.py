@@ -914,11 +914,11 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
         1 for r in adaptive if r.allocation_mode in ("warm", "fallback")
     )
     fallbacks = sum(1 for r in adaptive if r.allocation_mode == "fallback")
-    cache_hits = sum(1 for r in adaptive if r.cache_hit)
+    reused = sum(1 for r in adaptive if r.allocation_mode == "reused")
     moves = sum(r.warm_moves for r in adaptive)
     print(
         f"\nwarm start: {warm_epochs}/{len(adaptive)} epochs warm "
-        f"({moves} CDS moves total), {cache_hits} cache hits, "
+        f"({moves} CDS moves total), {reused} reused, "
         f"{fallbacks} guard fallbacks"
     )
     return 0
@@ -1351,6 +1351,18 @@ def _rows_without_elapsed(result) -> list:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
+    from repro.exceptions import ShardError
+
+    try:
+        return _shard_subcommand(args)
+    except ShardError as exc:
+        # A refused manifest or an incomplete sweep is a user-facing
+        # condition: one line on stderr, not a traceback.
+        print(f"repro shard: {exc}", file=sys.stderr)
+        return 2
+
+
+def _shard_subcommand(args: argparse.Namespace) -> int:
     from repro.experiments import shards as shard_fabric
     from repro.experiments.runner import run_experiment
 

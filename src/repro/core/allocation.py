@@ -363,21 +363,6 @@ class ChannelAllocation:
         # exact partition; skip the heavier item-equality re-validation.
         return cls._from_index_groups(database, groups)
 
-    def with_database(self, database: BroadcastDatabase) -> "ChannelAllocation":
-        """This grouping over a same-catalogue database (trusted).
-
-        The array-native form of :meth:`rebase` for callers that already
-        know ``database`` shares the catalogue order (e.g. the
-        incremental engine after a frequency patch): the index groups
-        transfer verbatim, no id lookups.
-        """
-        if len(database) != len(self._database):
-            raise InvalidAllocationError(
-                f"cannot transfer: database size {len(database)} != "
-                f"{len(self._database)}"
-            )
-        return ChannelAllocation._from_index_groups(database, self._groups)
-
     @classmethod
     def from_assignment_vector(
         cls,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.core.allocation import ChannelAllocation
@@ -48,11 +48,10 @@ __all__ = [
     "IncrementalAllocator",
 ]
 
-#: Default regression guard: a warm-started refinement is accepted only
+#: The regression guard: a warm-started refinement is accepted only
 #: while its cost stays within ``rough DRP cost × guard``; beyond that
 #: the engine falls back to the cold DRP+CDS pipeline and keeps the
-#: better of the two results.  ``None`` disables the guard (and the
-#: rough-DRP estimate that funds it).
+#: better of the two results.
 DEFAULT_REGRESSION_GUARD = 1.02
 
 
@@ -115,16 +114,10 @@ def _warm_seed(
 
 
 def _cold_pipeline(
-    database: BroadcastDatabase,
-    num_channels: int,
-    *,
-    max_iterations: Optional[int],
-    scan: str = "auto",
+    database: BroadcastDatabase, num_channels: int
 ) -> WarmStartResult:
     rough = drp_allocate(database, num_channels)
-    refined = cds_refine(
-        rough.allocation, max_iterations=max_iterations, scan=scan
-    )
+    refined = cds_refine(rough.allocation)
     return WarmStartResult(
         allocation=refined.allocation,
         cost=refined.cost,
@@ -139,28 +132,18 @@ def warm_start_refine(
     database: BroadcastDatabase,
     num_channels: int,
     initial: Union[ChannelAllocation, Iterable[Sequence[str]], None],
-    *,
-    regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
-    max_iterations: Optional[int] = None,
-    scan: str = "auto",
 ) -> WarmStartResult:
     """Re-refine ``database`` warm-starting from a previous grouping.
 
     The seeded CDS pass early-exits as soon as no improving move exists
     (that is CDS's own convergence test — an unchanged profile costs one
-    Δc scan and zero moves).  With ``regression_guard`` set, a rough DRP
-    pass first provides the cold-start cost estimate; if the warm-started
-    refinement lands above ``estimate × guard`` the cold pipeline runs
-    from the DRP seed and the better of the two allocations wins — so a
-    guarded warm start is never worse than cold beyond floating-point
-    noise.  An incompatible seed (different channel count or item-id
+    Δc scan and zero moves).  A rough DRP pass first provides the
+    cold-start cost estimate; if the warm-started refinement lands
+    above ``estimate × DEFAULT_REGRESSION_GUARD`` the cold pipeline runs
+    from the DRP seed and the better of the two allocations wins — so
+    the result never costs more than the rough DRP estimate times the
+    guard.  An incompatible seed (different channel count or item-id
     set) routes straight to the cold pipeline.
-
-    ``scan`` is forwarded to every :func:`cds_refine` call —
-    ``"incremental"`` composes particularly well with warm starts:
-    few channels drift between epochs, so the dirty-pair index starts
-    nearly converged and each of the few remaining moves re-evaluates
-    only the cells it touches.
 
     Metrics counters bumped (when enabled): ``incremental.warm_starts``,
     ``incremental.warm_moves``, ``incremental.fallbacks``,
@@ -170,45 +153,19 @@ def warm_start_refine(
         "incremental.refine",
         items=len(database),
         channels=num_channels,
-        guard=regression_guard if regression_guard is not None else 0.0,
+        guard=DEFAULT_REGRESSION_GUARD,
     ) as span:
         seed = _warm_seed(initial, database, num_channels)
         if seed is None:
-            result = _cold_pipeline(
-                database,
-                num_channels,
-                max_iterations=max_iterations,
-                scan=scan,
-            )
+            result = _cold_pipeline(database, num_channels)
             _bump("incremental.cold_runs")
             _bump("incremental.cold_drp_splits", result.drp_splits)
-        elif regression_guard is None:
-            seeded = ChannelAllocation.rebase(database, seed)
-            warm = cds_refine(
-                seeded,
-                max_iterations=max_iterations,
-                scan=scan,
-            )
-            result = WarmStartResult(
-                allocation=warm.allocation,
-                cost=warm.cost,
-                mode="warm",
-                warm_moves=warm.iterations,
-                warm_cost=warm.cost,
-            )
-            _bump("incremental.warm_starts")
-            _bump("incremental.warm_moves", warm.iterations)
         else:
             rough = drp_allocate(database, num_channels)
-            warm = cds_refine(
-                rough.allocation,
-                initial=seed,
-                max_iterations=max_iterations,
-                scan=scan,
-            )
+            warm = cds_refine(rough.allocation, initial=seed)
             _bump("incremental.warm_starts")
             _bump("incremental.warm_moves", warm.iterations)
-            if warm.cost <= rough.cost * regression_guard:
+            if warm.cost <= rough.cost * DEFAULT_REGRESSION_GUARD:
                 result = WarmStartResult(
                     allocation=warm.allocation,
                     cost=warm.cost,
@@ -219,11 +176,7 @@ def warm_start_refine(
                     cold_estimate=rough.cost,
                 )
             else:
-                cold = cds_refine(
-                    rough.allocation,
-                    max_iterations=max_iterations,
-                    scan=scan,
-                )
+                cold = cds_refine(rough.allocation)
                 _bump("incremental.fallbacks")
                 _bump("incremental.cold_runs")
                 _bump("incremental.cold_drp_splits", rough.splits_evaluated)
@@ -283,28 +236,13 @@ def database_fingerprint(
 # ----------------------------------------------------------------------
 @dataclass
 class IncrementalStats:
-    """Running tallies of one :class:`IncrementalAllocator`'s activity.
-
-    ``cache_hits`` counts the zero-drift epochs whose program the live
-    service reused without calling the engine.
-    """
+    """Running tallies of one :class:`IncrementalAllocator`'s activity."""
 
     cold_runs: int = 0
     warm_runs: int = 0
     fallbacks: int = 0
-    cache_hits: int = 0
     warm_moves: int = 0
     cold_moves: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "cold_runs": self.cold_runs,
-            "warm_runs": self.warm_runs,
-            "fallbacks": self.fallbacks,
-            "cache_hits": self.cache_hits,
-            "warm_moves": self.warm_moves,
-            "cold_moves": self.cold_moves,
-        }
 
 
 class IncrementalAllocator:
@@ -318,22 +256,8 @@ class IncrementalAllocator:
     Not thread-safe; one engine per adaptation loop.
     """
 
-    def __init__(
-        self,
-        num_channels: Optional[int] = None,
-        *,
-        regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
-        max_iterations: Optional[int] = None,
-        scan: str = "auto",
-    ) -> None:
-        if regression_guard is not None and regression_guard < 1.0:
-            raise ValueError(
-                f"regression_guard must be >= 1.0 or None, got {regression_guard}"
-            )
+    def __init__(self, num_channels: Optional[int] = None) -> None:
         self._num_channels = num_channels
-        self._regression_guard = regression_guard
-        self._max_iterations = max_iterations
-        self._scan = scan
         self.stats = IncrementalStats()
         self._database: Optional[BroadcastDatabase] = None
         self._allocation: Optional[ChannelAllocation] = None
@@ -411,14 +335,7 @@ class IncrementalAllocator:
                 if self._shape_changed(database, num_channels)
                 else self._allocation
             )
-            result = warm_start_refine(
-                database,
-                num_channels,
-                initial,
-                regression_guard=self._regression_guard,
-                max_iterations=self._max_iterations,
-                scan=self._scan,
-            )
+            result = warm_start_refine(database, num_channels, initial)
             if result.mode == "cold":
                 self.stats.cold_runs += 1
             elif result.mode == "fallback":

@@ -1,15 +1,16 @@
-"""Parallel experiment execution: deterministic fan-out over processes.
+"""Sweep cell execution: one cell path, inline or over a process pool.
 
 The sweep grid of an :class:`~repro.experiments.config.ExperimentConfig`
 is embarrassingly parallel — every (sweep value, replication, algorithm)
 cell is independent, and the workload of a cell is fully determined by
 ``config.seed_for(value_index, replication)``.  This module exploits
 that: cells are described by tiny :class:`CellSpec` descriptors, fanned
-out over a :class:`concurrent.futures.ProcessPoolExecutor`, executed by
-workers that *re-derive* the workload from the config (so only the
-config, the descriptors and small :class:`CellOutcome` result records
-ever cross the pipe), and merged back **in grid order** — which makes
-the aggregated rows bitwise-identical to a serial run for any worker
+run by :func:`run_cell` — inline in the calling process, or in the
+workers of a :class:`concurrent.futures.ProcessPoolExecutor` that
+*re-derive* the workload from the config (so only the config, the
+descriptors and small :class:`CellOutcome` result records ever cross
+the pipe) — and collected **in grid order** by :func:`iter_outcomes`,
+which makes the aggregated rows bitwise-identical for any worker
 count.
 
 Three design points worth knowing about:
@@ -29,9 +30,9 @@ Three design points worth knowing about:
   the worker executing it is not interrupted, so treat the timeout as a
   liveness guard for the sweep, not a hard kill.
 
-:func:`~repro.experiments.runner.run_experiment` is the intended entry
-point; it routes through :func:`execute_cells` whenever ``workers`` (or
-the ``REPRO_WORKERS`` environment variable) asks for the fan-out layer.
+:func:`~repro.experiments.runner.run_experiment` and
+:func:`~repro.experiments.shards.run_shard` both drive their cells
+through :func:`iter_outcomes`.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ __all__ = [
     "build_cell_grid",
     "run_cell",
     "iter_outcomes",
-    "execute_cells",
     "map_ordered",
 ]
 
@@ -183,22 +183,20 @@ def auto_workers() -> int:
     return max(1, min(count, affinity))
 
 
-def resolve_workers(
-    workers: Union[int, str, None] = None,
-) -> Optional[int]:
-    """Normalise a worker request to ``None`` (serial) or a count >= 1.
+def resolve_workers(workers: Union[int, str, None] = None) -> int:
+    """Normalise a worker request to a count >= 1.
 
     ``None`` defers to the ``REPRO_WORKERS`` environment variable; when
-    that is unset too, the answer is ``None`` — the caller should take
-    the plain serial path.  ``"auto"`` (or any count < 1) means "one
-    worker per usable CPU" — see :func:`auto_workers` for the clamp.
-    An explicit integer is honoured as given (oversubscription stays
+    that is unset too, the answer is 1 — run the cells inline in the
+    calling process.  ``"auto"`` (or any count < 1) means "one worker
+    per usable CPU" — see :func:`auto_workers` for the clamp.  An
+    explicit integer is honoured as given (oversubscription stays
     possible when deliberately requested).
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
         if not raw:
-            return None
+            return 1
         workers = raw
     if isinstance(workers, str):
         if workers.lower() == "auto":
@@ -216,8 +214,8 @@ def resolve_workers(
 
 def build_cell_grid(config: ExperimentConfig) -> List[CellSpec]:
     """Every cell of the sweep, in canonical (value, replication,
-    algorithm) order — the order the serial runner visits them, and the
-    order results are merged back in."""
+    algorithm) order — the order :func:`iter_outcomes` yields them in,
+    and the order results are merged back in."""
     return [
         CellSpec(value_index=value_index, replication=replication, algorithm=algorithm)
         for value_index in range(len(config.sweep_values))
@@ -235,7 +233,7 @@ def run_cell(
 
     Emits an ``experiment.cell`` span (worker pid, sweep coordinates,
     outcome or error tag) on whatever tracer is active in the executing
-    process — the parent's for serial runs, the worker's own for pooled
+    process — the parent's for inline runs, the worker's own for pooled
     runs, whose spans the parent later adopts.
     """
     started = time.time()
@@ -385,7 +383,7 @@ class _LiveCollector:
     pairs from the worker shippers to a parent daemon thread that folds
     them into :func:`repro.obs.update_live_overlay`.  Overlays feed
     only the live view; the authoritative grid-order merge is
-    untouched, so final metrics stay bitwise-identical to serial.
+    untouched, so final metrics stay bitwise-identical to an inline run.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -445,7 +443,7 @@ def _collect_outcome(
 ) -> CellOutcome:
     """Await one worker future, degrading failures to recorded errors
     and adopting the worker's observability payload (see
-    :func:`execute_cells`)."""
+    :func:`iter_outcomes`)."""
     try:
         outcome = future.result(timeout=cell_timeout)
     except _FutureTimeout:
@@ -524,13 +522,14 @@ def iter_outcomes(
 ) -> Iterator[CellOutcome]:
     """Run ``cells``, yielding each outcome in the given order.
 
-    ``workers=1`` executes inline (same code path, no processes, no
-    timeout enforcement); ``workers>1`` fans out over a process pool
-    and yields each outcome as soon as it and every earlier cell are
-    collected — the ordered merge that makes parallel runs reproduce
-    serial results exactly, and that lets a shard record each cell the
-    moment it lands.  ``live=False`` keeps the pool's workers from
-    shipping live metrics snapshots (see :class:`_LiveCollector`).
+    ``workers=1`` executes inline (the same :func:`run_cell`, no
+    processes, no timeout enforcement); ``workers>1`` fans out over a
+    process pool and yields each outcome as soon as it and every
+    earlier cell are collected — the ordered merge that makes every
+    worker count reproduce the same results exactly, and that lets a
+    shard record each cell the moment it lands.  ``live=False`` keeps
+    the pool's workers from shipping live metrics snapshots (see
+    :class:`_LiveCollector`).
     """
     cells = list(cells)
     if workers <= 1 or len(cells) <= 1:
@@ -558,25 +557,6 @@ def iter_outcomes(
             )
 
 
-def execute_cells(
-    config: ExperimentConfig,
-    cells: Sequence[CellSpec],
-    *,
-    workers: int = 1,
-    cell_timeout: Optional[float] = None,
-) -> List[CellOutcome]:
-    """Run ``cells`` and return their outcomes in the given order.
-
-    The list form of :func:`iter_outcomes`: the returned list is always
-    ordered like ``cells`` regardless of completion order.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return list(
-        iter_outcomes(config, cells, workers=workers, cell_timeout=cell_timeout)
-    )
-
-
 def map_ordered(
     function: Callable[[_T], _R],
     items: Iterable[_T],
@@ -590,7 +570,7 @@ def map_ordered(
     deterministic.  ``function`` must be picklable (module-level) and
     is responsible for its own error handling — an exception propagates,
     matching the serial semantics.  Used by the optimality-gap
-    experiment; the figure sweeps use the richer :func:`execute_cells`.
+    experiment; the figure sweeps use the richer :func:`iter_outcomes`.
     """
     items = list(items)
     if workers is None or workers <= 1 or len(items) <= 1:

@@ -5,18 +5,14 @@ workload (same seed for every algorithm, so all algorithms face
 identical databases), times each allocator, and aggregates cost, waiting
 time and execution time across replications.
 
-Execution has two interchangeable engines:
-
-* the **serial** loop below (``workers=None``, the default), and
-* the **parallel fan-out** of :mod:`repro.experiments.parallel`
-  (``workers=N`` or the ``REPRO_WORKERS`` environment variable), which
-  distributes (sweep value, replication, algorithm) cells over a
-  process pool.
-
-Both produce their measurements as :class:`CellOutcome` records and
-share one merge path, so for any worker count the aggregated rows are
-bitwise-identical to a serial run (wall-clock ``elapsed`` aggregates
-excepted — those measure whatever machine state the run saw).
+Every cell runs through :func:`repro.experiments.parallel.run_cell`,
+driven by :func:`~repro.experiments.parallel.iter_outcomes`: inline in
+this process by default (``workers=1``), or fanned out over a process
+pool with ``workers=N`` or the ``REPRO_WORKERS`` environment variable.
+The outcomes come back in grid order and go through one merge, so for
+any worker count the aggregated rows are bitwise-identical (wall-clock
+``elapsed`` aggregates excepted — those measure whatever machine state
+the run saw).
 
 Importing :mod:`repro.baselines` as a side effect registers every
 algorithm name the configs refer to.
@@ -24,94 +20,38 @@ algorithm name the configs refer to.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
-
-import os
+from typing import Callable, Iterable, List, Optional, Union
 
 import repro.baselines  # noqa: F401  (registers baseline allocators)
 from repro import obs
 from repro.analysis.stats import aggregate
-from repro.core.cost import average_waiting_time
-from repro.core.scheduler import make_allocator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CellOutcome,
     build_cell_grid,
-    execute_cells,
+    iter_outcomes,
     resolve_workers,
 )
 from repro.experiments.records import CellError, ExperimentResult, MeasurementRow
-from repro.workloads.generator import WorkloadSpec, generate_database
 
 __all__ = ["run_experiment", "merge_outcomes"]
 
 ProgressCallback = Callable[[str], None]
 
 
-def _serial_outcomes(config: ExperimentConfig) -> List[CellOutcome]:
-    """The classic in-process loop, emitting one outcome per cell.
-
-    Allocators are stateless between ``allocate`` calls, so one instance
-    per algorithm is constructed up front and reused across every
-    (sweep value, replication) — the parallel path keeps per-cell
-    construction instead, because its workers are isolated processes.
-    """
-    allocators = {
-        algorithm: make_allocator(algorithm) for algorithm in config.algorithms
-    }
-    outcomes: List[CellOutcome] = []
-    for value_index, value in enumerate(config.sweep_values):
-        point = config.point_parameters(value)
-        for replication in range(config.replications):
-            spec = WorkloadSpec(
-                num_items=point.num_items,
-                skewness=point.skewness,
-                diversity=point.diversity,
-                seed=config.seed_for(value_index, replication),
-            )
-            database = generate_database(spec)
-            for algorithm in config.algorithms:
-                with obs.span(
-                    "experiment.cell",
-                    value_index=value_index,
-                    replication=replication,
-                    algorithm=algorithm,
-                    worker_pid=os.getpid(),
-                ) as span:
-                    outcome = allocators[algorithm].allocate(
-                        database, point.num_channels
-                    )
-                    span.update(
-                        cost=outcome.cost,
-                        compute_seconds=outcome.elapsed_seconds,
-                    )
-                outcomes.append(
-                    CellOutcome(
-                        value_index=value_index,
-                        replication=replication,
-                        algorithm=algorithm,
-                        cost=outcome.cost,
-                        waiting_time=average_waiting_time(
-                            outcome.allocation, bandwidth=config.bandwidth
-                        ),
-                        elapsed_seconds=outcome.elapsed_seconds,
-                    )
-                )
-    return outcomes
-
-
 def merge_outcomes(
     config: ExperimentConfig,
-    outcomes: List[CellOutcome],
+    outcomes: Iterable[CellOutcome],
     progress: Optional[ProgressCallback] = None,
 ) -> ExperimentResult:
     """Aggregate per-cell outcomes into rows, in canonical grid order.
 
-    Shared by the serial and parallel engines *and* the shard merge
-    (:func:`repro.experiments.shards.merge_shards`) — aggregation order
-    (and therefore floating-point rounding) depends only on the grid,
-    never on completion order, which is what makes ``workers=N`` and
-    any shard layout reproduce the serial rows exactly.
+    Shared by :func:`run_experiment` and the shard merge
+    (:func:`repro.experiments.shards.merge_shards`).  Outcomes may
+    arrive in any order: they are grouped by cell and ordered by the
+    grid, so aggregation order (and therefore floating-point rounding)
+    depends only on the grid — which is what makes every worker count
+    and any shard layout reproduce the same rows exactly.
     """
     result = ExperimentResult(
         name=config.name,
@@ -185,12 +125,12 @@ def run_experiment(
         Optional callback invoked with a status line per sweep point
         (the CLI passes ``print``).
     workers:
-        ``None`` (default) runs serially unless the ``REPRO_WORKERS``
-        environment variable is set; an integer fans the sweep's cells
-        out over that many worker processes (``1`` exercises the
-        fan-out machinery in-process); ``"auto"`` uses one worker per
-        CPU.  Results are bitwise-identical to the serial path for any
-        worker count.
+        ``None`` (default) defers to the ``REPRO_WORKERS`` environment
+        variable and runs the cells in this process when that is unset
+        too (see :func:`~repro.experiments.parallel.resolve_workers`);
+        an integer N >= 2 fans the cells out over N worker processes;
+        ``"auto"`` uses one worker per usable CPU.  Rows are
+        bitwise-identical for any worker count.
     cell_timeout:
         With ``workers`` >= 2: maximum seconds to wait for any single
         cell's result; a slower cell is recorded as a
@@ -204,25 +144,17 @@ def run_experiment(
         are listed in ``result.errors``.
     """
     resolved = resolve_workers(workers)
-    grid_size = (
-        len(config.sweep_values) * config.replications * len(config.algorithms)
-    )
+    cells = build_cell_grid(config)
     with obs.span(
         "experiment.run",
         experiment=config.name,
         sweep_parameter=config.sweep_parameter,
-        cells=grid_size,
-        workers=resolved if resolved is not None else 0,
+        cells=len(cells),
+        workers=resolved,
     ) as span:
-        if resolved is None:
-            outcomes = _serial_outcomes(config)
-        else:
-            outcomes = execute_cells(
-                config,
-                build_cell_grid(config),
-                workers=resolved,
-                cell_timeout=cell_timeout,
-            )
+        outcomes = iter_outcomes(
+            config, cells, workers=resolved, cell_timeout=cell_timeout
+        )
         result = merge_outcomes(config, outcomes, progress)
         span.update(rows=len(result.rows), errors=len(result.errors))
         registry = obs.get_metrics()

@@ -6,8 +6,8 @@ pool — but one pool lives inside one OS process, so one machine crash
 loses the whole sweep and one machine bounds the whole sweep.  This
 module splits a sweep into **shards** that run as fully independent OS
 processes (different terminals, different machines sharing a results
-directory, a job array) and merge back into rows *identical* to a
-serial run:
+directory, a job array) and merge back into rows *identical* to an
+unsharded run:
 
 * :func:`compile_manifest` deterministically partitions the canonical
   cell grid of an :class:`~repro.experiments.config.ExperimentConfig`
@@ -22,10 +22,10 @@ serial run:
   the missing cells recompute.
 * :func:`merge_shards` assembles the stores into one
   :class:`~repro.experiments.records.ExperimentResult` whose rows are
-  identical to a serial :func:`~repro.experiments.runner.run_experiment`
-  for **any** (shard layout × worker count × resume history) — the
-  wall-clock ``elapsed`` aggregates excepted, matching the existing
-  serial/parallel convention.
+  identical to an unsharded
+  :func:`~repro.experiments.runner.run_experiment` for **any** (shard
+  layout × worker count × resume history) — the wall-clock ``elapsed``
+  aggregates excepted, as between any two worker counts.
 
 Determinism requires one discipline: every shard must be compiled into
 the same manifest (the config digest is checked at every step).  Every
@@ -55,6 +55,7 @@ from repro.experiments.parallel import (
     resolve_workers,
 )
 from repro.experiments.records import ExperimentResult, cell_key
+from repro.experiments.runner import merge_outcomes
 from repro.experiments.store import ShardStore, store_chunk_path
 from repro.obs.manifest import config_digest
 
@@ -433,15 +434,14 @@ def run_shard(
     as an append-only record the moment it completes — so a SIGKILL at
     any point costs at most the in-flight cell.  ``workers`` follows
     :func:`~repro.experiments.parallel.resolve_workers` (``None`` =
-    in-process, ``"auto"`` = one per usable CPU); ``max_cells`` bounds
-    how many cells this invocation computes, which is how tests and the
-    shard-layouts oracle produce partial shards without killing a
-    process.
+    ``REPRO_WORKERS``, else in-process; ``"auto"`` = one per usable
+    CPU); ``max_cells`` bounds how many cells this invocation
+    computes, which is how tests and the shard-layouts oracle produce
+    partial shards without killing a process.
     """
     config = manifest.config
     specs = shard_cells(manifest, shard_index)
     resolved = resolve_workers(workers)
-    pool_workers = resolved if resolved is not None else 1
     started = time.time()
     store = ShardStore.open(
         results_dir, shard_index, config_sha256=manifest.config_sha256
@@ -471,7 +471,7 @@ def run_shard(
             cells=len(specs),
             pending=len(pending),
             resumed=already_complete > 0,
-            workers=pool_workers,
+            workers=resolved,
         ):
             recorder = _ShardRecorder(config, store, len(specs), progress)
             # Stream each cell into the store, in grid order, as it
@@ -482,7 +482,7 @@ def run_shard(
             outcomes = iter_outcomes(
                 config,
                 pending,
-                workers=pool_workers,
+                workers=resolved,
                 cell_timeout=cell_timeout,
                 live=False,
             )
@@ -516,13 +516,14 @@ def merge_shards(
 ) -> ExperimentResult:
     """Assemble every shard's store into one :class:`ExperimentResult`.
 
-    Outcomes are re-ordered by the canonical grid before aggregation
-    and fed through the same
-    :func:`~repro.experiments.runner.merge_outcomes` the serial and
-    parallel engines use, so merged rows are identical to a serial run
-    for any layout, worker count or resume history.  Missing cells
-    raise :class:`~repro.exceptions.ShardError` listing which shards
-    are incomplete — merge never silently aggregates a partial sweep.
+    Outcomes go through the same
+    :func:`~repro.experiments.runner.merge_outcomes` that
+    :func:`~repro.experiments.runner.run_experiment` uses, which orders
+    them by the canonical grid, so merged rows are identical to an
+    unsharded run for any layout, worker count or resume history.
+    Missing cells raise :class:`~repro.exceptions.ShardError` listing
+    which shards are incomplete — merge never silently aggregates a
+    partial sweep.
     """
     config = manifest.config
     grid = build_cell_grid(config)
@@ -559,30 +560,12 @@ def merge_shards(
                 f"cannot merge an incomplete sweep — missing {detail}; "
                 f"re-run `repro shard run` for the listed shard(s)"
             )
-        outcomes.sort(
-            key=lambda o: (
-                o.value_index,
-                o.replication,
-                config.algorithms.index(o.algorithm),
-            )
-        )
-        result = merge_outcomes_ordered(config, outcomes, progress)
+        result = merge_outcomes(config, outcomes, progress)
         span.update(rows=len(result.rows), errors=len(result.errors))
         registry = obs.get_metrics()
         if registry.enabled:
             registry.counter("shard.merges").inc()
     return result
-
-
-def merge_outcomes_ordered(
-    config: ExperimentConfig,
-    outcomes: List[CellOutcome],
-    progress: Optional[ProgressCallback] = None,
-) -> ExperimentResult:
-    """Grid-ordered outcomes → rows, via the engines' shared merge."""
-    from repro.experiments.runner import merge_outcomes
-
-    return merge_outcomes(config, outcomes, progress)
 
 
 def shard_status(

@@ -127,7 +127,6 @@ __all__ = [
     "start_metrics_server",
     "start_metrics_stream",
     "start_profiler",
-    "get_metrics_server",
     "get_profiler",
     "stop_live",
     "log",
@@ -378,10 +377,6 @@ def start_profiler(*, interval: float = 0.005) -> SamplingProfiler:
                 interval=interval, tracer=_tracer
             ).start()
         return _profiler
-
-
-def get_metrics_server() -> Optional[MetricsServer]:
-    return _metrics_server
 
 
 def get_profiler() -> Optional[SamplingProfiler]:

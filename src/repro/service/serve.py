@@ -63,10 +63,7 @@ from repro import obs
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
-from repro.core.incremental import (
-    DEFAULT_REGRESSION_GUARD,
-    IncrementalAllocator,
-)
+from repro.core.incremental import IncrementalAllocator
 from repro.exceptions import SimulationError
 from repro.service.clock import Clock, SystemClock
 from repro.simulation.adaptive import RotatingDrift
@@ -258,7 +255,7 @@ class ServeEpochReport:
     """Measurements of one served epoch.
 
     The allocation-provenance fields (``allocation_mode`` /
-    ``warm_moves`` / ``cache_hit`` / ``reallocated``) describe how the
+    ``warm_moves`` / ``reallocated``) describe how the
     program *serving* this epoch was obtained, so an offline adaptive
     oracle run on the same batches lines up report-for-report.
     ``allocation`` is the allocation on air at the epoch's close — the
@@ -281,7 +278,6 @@ class ServeEpochReport:
     profile_drift: float
     allocation_mode: str
     warm_moves: int
-    cache_hit: bool
     reallocated: bool
     generation: int
     estimator_state: int
@@ -301,7 +297,6 @@ class ServeEpochReport:
             "profile_drift": self.profile_drift,
             "allocation_mode": self.allocation_mode,
             "warm_moves": self.warm_moves,
-            "cache_hit": self.cache_hit,
             "reallocated": self.reallocated,
             "generation": self.generation,
             "estimator_state": self.estimator_state,
@@ -345,8 +340,6 @@ class BroadcastService:
         Replay in real time: sleep until each record's stream time
         (offset to the clock) before serving it.  Off by default —
         ingest as fast as the stream yields.
-    regression_guard:
-        Forwarded to the :class:`IncrementalAllocator`.
     record_generations:
         Keep a ``(timestamp, generation)`` log of every served request
         (test instrumentation for the torn-schedule assertion; off by
@@ -365,7 +358,6 @@ class BroadcastService:
         initial_database: Optional[BroadcastDatabase] = None,
         clock: Optional[Clock] = None,
         pace: bool = False,
-        regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
         record_generations: bool = False,
     ) -> None:
         if not sizes:
@@ -387,9 +379,7 @@ class BroadcastService:
         if half_life is None:
             half_life = 2.0 * self.epoch_seconds
         self._estimator = DecayedCounts(self._catalogue, half_life=half_life)
-        self._engine = IncrementalAllocator(
-            self._num_channels, regression_guard=regression_guard
-        )
+        self._engine = IncrementalAllocator(self._num_channels)
         ids: Tuple[str, ...] = tuple(self._catalogue)
         if initial_database is not None:
             if set(initial_database.item_ids) != set(ids):
@@ -429,7 +419,6 @@ class BroadcastService:
         # Provenance of the program serving the *next* epoch.
         self._mode = "cold"
         self._warm_moves = result.warm_moves
-        self._cache_hit = False
         self._reallocated = True
         self._pending_switch: Optional[float] = None
         self.reports: List[ServeEpochReport] = []
@@ -688,7 +677,6 @@ class BroadcastService:
                 profile_drift=self._last_drift,
                 allocation_mode=self._mode if waits else "idle",
                 warm_moves=self._warm_moves,
-                cache_hit=self._cache_hit,
                 reallocated=self._reallocated,
                 generation=self.live.generation,
                 estimator_state=self._estimator.state_size,
@@ -702,8 +690,6 @@ class BroadcastService:
                 registry.counter("serve.mode", mode=report.allocation_mode).inc()
                 if report.reallocated:
                     registry.counter("serve.reallocations").inc()
-                if report.cache_hit:
-                    registry.counter("serve.cache_hits").inc()
                 registry.gauge("serve.epoch").set(epoch)
                 registry.gauge("serve.allocation_cost").set(cost)
                 registry.gauge("serve.profile_drift").set(self._last_drift)
@@ -718,7 +704,6 @@ class BroadcastService:
                     self._estimator.state_size
                 )
             self._reallocated = False
-            self._cache_hit = False
             self._warm_moves = 0
             self._pending_switch = None
             if final or not waits:
@@ -737,10 +722,6 @@ class BroadcastService:
                 # Zero drift: the deterministic engine would reproduce
                 # the current program — reuse it.
                 self._mode = "reused"
-                self._cache_hit = True
-                if registry.enabled:
-                    registry.counter("incremental.cache_hits").inc()
-                self._engine.stats.cache_hits += 1
                 return
             unobserved = np.flatnonzero(estimated <= 0.0)
             if len(unobserved):

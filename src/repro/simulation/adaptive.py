@@ -89,9 +89,6 @@ class EpochReport:
     reallocated:
         Whether the program was regenerated at the preceding epoch
         boundary (the initial build counts for epoch 0).
-    cache_hit:
-        True when the epoch boundary reused a previous program instead
-        of searching: the estimated profile showed zero L1 drift.
     warm_moves:
         CDS moves the warm-started refinement executed at the preceding
         epoch boundary (0 for cold/static/reused epochs).
@@ -106,7 +103,6 @@ class EpochReport:
     cost_under_truth: float
     profile_error: float
     reallocated: bool
-    cache_hit: bool = False
     warm_moves: int = 0
     allocation_mode: str = "cold"
 
@@ -208,7 +204,6 @@ def run_adaptive_simulation(
                 report.allocation,
                 report.measured,
                 reallocated=report.reallocated,
-                cache_hit=report.cache_hit,
                 warm_moves=report.warm_moves,
                 allocation_mode=report.allocation_mode,
             )

@@ -31,8 +31,9 @@ The four oracle pairs (named ``oracle.<slug>``):
     statistics bitwise identical, and the reference executed exactly
     two events per request.
 ``serial-parallel``
-    ``run_experiment`` with ``workers=None`` vs ``workers=2`` — rows
-    bitwise identical except wall-clock ``elapsed`` aggregates.
+    ``run_experiment`` in-process (``workers=1``) vs over a process
+    pool (``workers=2``) — rows bitwise identical except wall-clock
+    ``elapsed`` aggregates.
 ``shard-layouts``
     The sharded fabric (:mod:`repro.experiments.shards`) vs the serial
     runner — identical rows for any shard count, worker count and
@@ -51,7 +52,7 @@ from typing import List
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
 from repro.core.database import BroadcastDatabase
-from repro.core.drp import SPLIT_POLICIES, drp_allocate
+from repro.core.drp import drp_allocate
 from repro.core.incremental import DEFAULT_REGRESSION_GUARD, warm_start_refine
 from repro.core.item import DataItem
 from repro.core.partition import PrefixSums, contiguous_optimal
@@ -500,10 +501,11 @@ def oracle_serial_parallel(
     seed: int = 20050608,
     workers: int = 2,
 ) -> List[Violation]:
-    """Serial and fanned-out sweeps must emit identical measurement rows.
+    """In-process and fanned-out sweeps must emit identical rows.
 
-    Runs one deliberately small sweep twice — ``workers=None`` and
-    ``workers=N`` — and diffs every row field except the wall-clock
+    Runs one deliberately small sweep twice — inline in this process
+    (``workers=1``) and over a ``workers=N`` process pool — and diffs
+    every row field except the wall-clock
     ``elapsed`` aggregates.  Expensive (spawns a process pool), so the
     fuzzer runs it once per session.
     """
@@ -519,7 +521,7 @@ def oracle_serial_parallel(
         replications=2,
         base_seed=seed,
     )
-    serial = run_experiment(config)
+    serial = run_experiment(config, workers=1)
     parallel = run_experiment(config, workers=workers)
     if serial.errors or parallel.errors:
         violations.append(
@@ -792,7 +794,3 @@ def oracle_warm_cold(
         )
     return violations
 
-
-def available_split_policies() -> tuple:
-    """Split policies the DRP oracle can exercise (re-export for CLI)."""
-    return SPLIT_POLICIES

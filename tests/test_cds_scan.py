@@ -452,24 +452,6 @@ class TestWarmStartComposition:
             warm = cds_refine(rough, initial=seeded, scan=scan)
             assert_identical_runs(reference, warm)
 
-    def test_warm_start_refine_forwards_scan(self, medium_db):
-        from repro.core.incremental import warm_start_refine
-
-        rough = drp_allocate(medium_db, 5)
-        base = cds_refine(rough.allocation)
-        shifted = generate_database(
-            WorkloadSpec(num_items=30, skewness=0.9, diversity=1.5, seed=1234)
-        )
-        full = warm_start_refine(
-            shifted, 5, base.allocation, scan="full"
-        )
-        incr = warm_start_refine(
-            shifted, 5, base.allocation, scan="incremental"
-        )
-        assert incr.mode == full.mode
-        assert incr.cost == full.cost  # bitwise
-        assert incr.allocation.as_id_lists() == full.allocation.as_id_lists()
-
 
 # ----------------------------------------------------------------------
 # Evaluation accounting

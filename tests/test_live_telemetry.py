@@ -149,19 +149,16 @@ class TestLiveParity:
         result_parallel, parallel = self._run(
             workers=2, live=True, tmp_path=tmp_path
         )
-        # The computed rows are identical; the parallel layer adds its
-        # own bookkeeping counters (experiment.cells*) on top of the
-        # serial set, so metric parity is subset equality: every
-        # deterministic instrument the serial run records must come out
-        # of the worker drain-merge with the exact same value.
+        # The computed rows are identical, and both runs take the same
+        # cell path, so every deterministic instrument comes out of the
+        # worker drain-merge with the exact value the in-process run
+        # records.  The one pool-only instrument,
+        # experiment.queue_wait_seconds, is a timing and already set
+        # aside by deterministic_part.
         assert [row.algorithm for row in result_serial.rows] == [
             row.algorithm for row in result_parallel.rows
         ]
-        serial_part = json.loads(deterministic_part(serial))
-        parallel_part = json.loads(deterministic_part(parallel))
-        for section in ("counters", "gauges", "histograms"):
-            for key, value in serial_part[section].items():
-                assert parallel_part[section][key] == value, key
+        assert deterministic_part(serial) == deterministic_part(parallel)
 
     def test_no_overlays_survive_the_pool(self, tmp_path):
         obs.configure(metrics=True)

@@ -1,20 +1,22 @@
-"""Tests for the parallel experiment execution layer.
+"""Tests for the sweep cell execution layer.
 
 The headline property: ``run_experiment(config, workers=N)`` reproduces
-the serial rows exactly (costs, waiting times, stds — everything except
-the wall-clock ``elapsed`` aggregates, which measure the machine, not
-the experiment), for any worker count, with failures degrading to
-recorded cell errors instead of crashes.
+the default in-process rows exactly (costs, waiting times, stds —
+everything except the wall-clock ``elapsed`` aggregates, which measure
+the machine, not the experiment), for any worker count, with failures
+degrading to recorded cell errors instead of crashes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import random
 import time
 
 import pytest
 
+from repro import obs
 from repro.core.allocation import ChannelAllocation
 from repro.core.scheduler import Allocator, register_allocator
 from repro.experiments.config import ExperimentConfig
@@ -24,12 +26,12 @@ from repro.experiments.parallel import (
     CellSpec,
     WorkloadMemo,
     build_cell_grid,
-    execute_cells,
+    iter_outcomes,
     map_ordered,
     resolve_workers,
     run_cell,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import merge_outcomes, run_experiment
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -176,12 +178,23 @@ class TestErrorCapture:
         assert len(result.errors) == 2
         assert all("timed out" in error.message for error in result.errors)
 
-    def test_serial_path_still_raises(self):
-        # Legacy contract: without the fan-out layer an allocator
-        # failure propagates (no silent degradation).
-        config = small_config(algorithms=("test-exploding",))
-        with pytest.raises(RuntimeError, match="boom on purpose"):
-            run_experiment(config)
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=_FORK_ONLY)]
+    )
+    def test_default_run_records_the_same_cell_errors(
+        self, monkeypatch, workers
+    ):
+        # A default run takes the same cell path as any worker count:
+        # an allocator failure is recorded, never raised.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        config = small_config(algorithms=("drp", "test-exploding"))
+        default = run_experiment(config)
+        explicit = run_experiment(config, workers=workers)
+        assert len(default.errors) == 4
+        assert default.errors == explicit.errors
+        assert rows_without_elapsed(default) == rows_without_elapsed(
+            explicit
+        )
 
     def test_errors_survive_json_round_trip(self):
         from repro.experiments.records import ExperimentResult
@@ -209,13 +222,23 @@ class TestBuildingBlocks:
         assert outcome.waiting_time > 0
         assert outcome.elapsed_seconds >= 0
 
-    def test_execute_cells_preserves_submission_order(self):
+    def test_iter_outcomes_preserves_submission_order(self):
         config = small_config()
         cells = list(reversed(build_cell_grid(config)))
-        outcomes = execute_cells(config, cells, workers=2)
+        outcomes = list(iter_outcomes(config, cells, workers=2))
         assert [
             (o.value_index, o.replication, o.algorithm) for o in outcomes
         ] == [(c.value_index, c.replication, c.algorithm) for c in cells]
+
+    def test_merge_outcomes_ignores_arrival_order(self):
+        config = small_config(algorithms=("drp", "no-such-algo"))
+        outcomes = list(iter_outcomes(config, build_cell_grid(config)))
+        shuffled = list(outcomes)
+        random.Random(7).shuffle(shuffled)
+        assert shuffled != outcomes
+        ordered = merge_outcomes(config, outcomes)
+        assert ordered.errors  # the error list is compared too
+        assert merge_outcomes(config, shuffled) == ordered
 
     def test_workload_memo_generates_once(self):
         memo = WorkloadMemo()
@@ -243,7 +266,7 @@ class TestBuildingBlocks:
 class TestResolveWorkers:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) is None
+        assert resolve_workers(None) == 1
 
     def test_env_var_enables_fanout(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -274,9 +297,12 @@ class TestResolveWorkers:
             resolve_workers("plenty")
 
     def test_env_honoured_by_run_experiment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        config = small_config(algorithms=("drp", "test-exploding"))
-        # Serial mode would raise; REPRO_WORKERS=1 selects the fan-out
-        # layer, which records the failure instead.
-        result = run_experiment(config)
-        assert len(result.errors) == 4
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        tracer, _ = obs.configure(trace=True)
+        try:
+            result = run_experiment(small_config())
+            run_span = tracer.find("experiment.run")[0]
+        finally:
+            obs.reset()
+        assert run_span.attributes["workers"] == 2
+        assert result.errors == []

@@ -480,3 +480,64 @@ class TestResume:
         assert resumed.already_complete == 2
         merged = merge_shards(manifest, results_dir=results_dir)
         assert rows_without_elapsed(merged) == rows_without_elapsed(serial)
+
+
+# ----------------------------------------------------------------------
+# CLI: a refused manifest or an incomplete sweep is one stderr line
+# ----------------------------------------------------------------------
+class TestShardCliErrors:
+    def _manifest(self, tmp_path, **changes):
+        payload = compile_manifest(small_config(), num_shards=2).to_jsonable()
+        payload.update(changes)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return path
+
+    def _assert_reported(self, capsys, code, message):
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repro shard: " in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_run_refuses_warm_start_manifest(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._manifest(tmp_path, warm_start=True)
+        code = main(
+            [
+                "shard", "run", str(path), "--shard", "0",
+                "--results-dir", str(tmp_path / "results"), "--quiet",
+            ]
+        )
+        self._assert_reported(capsys, code, "warm-start sweep")
+
+    def test_status_refuses_tampered_manifest(self, tmp_path, capsys):
+        from repro.cli import main
+
+        payload = compile_manifest(small_config(), num_shards=2).to_jsonable()
+        config = dict(payload["config"], num_items=21)
+        path = self._manifest(tmp_path, config=config)
+        code = main(
+            [
+                "shard", "status", str(path),
+                "--results-dir", str(tmp_path / "results"),
+            ]
+        )
+        self._assert_reported(capsys, code, "config digest mismatch")
+
+    def test_merge_refuses_incomplete_sweep(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._manifest(tmp_path)
+        results_dir = tmp_path / "results"
+        run_shard(load_manifest(path), 0, results_dir=results_dir)
+        code = main(
+            [
+                "shard", "merge", str(path),
+                "--results-dir", str(results_dir), "--quiet",
+            ]
+        )
+        self._assert_reported(
+            capsys, code, "cannot merge an incomplete sweep"
+        )
