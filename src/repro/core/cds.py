@@ -273,15 +273,15 @@ def _cds_refine_full(
     """The full-rescan loop of :func:`cds_refine`.
 
     The working state is a :class:`~repro.core.kernels.CDSBlockState`:
-    item features, the full scan's per-item ``c`` row, origin aggregates
-    and catalogue indices as arrays in channel-block (scan) order, plus
-    the per-channel ``(F_i, Z_i)`` aggregates.  Every iteration runs one
+    item features, the full scan's per-item ``c`` row and catalogue
+    indices as arrays in channel-block (scan) order, plus the
+    per-channel ``(F_i, Z_i)`` aggregates.  Every iteration runs one
     :class:`~repro.core.kernels.CDSFullScan` over it and executes the
     winner with :meth:`~repro.core.kernels.CDSBlockState.move` — the
     reference's pop-at-position / append-at-end as one slice shift — so
     the scan order, and therefore the tie-break, stays identical move
-    for move.  No :class:`DataItem` is ever materialised (the only
-    per-move object is the executed move's id string).
+    for move.  No :class:`DataItem` is ever materialised, and the
+    :class:`CDSMove` records are built once, after the loop.
     """
     database = allocation.database
     num_items = len(database)
@@ -291,7 +291,8 @@ def _cds_refine_full(
     current_cost = initial_cost
     num_channels = state.num_channels
     evaluations = 0
-    moves: List[CDSMove] = []
+    # (catalogue index, origin, destination, delta, cost after)
+    moves: List[Tuple[int, int, int, float, float]] = []
     converged = True
     hb = obs.heartbeat("cds", rates=("delta_evaluations",))
 
@@ -314,15 +315,7 @@ def _cds_refine_full(
         delta, rank, destination = best
         index, origin = state.move(rank, destination)
         current_cost -= delta
-        moves.append(
-            CDSMove(
-                item_id=database.item_id_at(index),
-                origin=origin,
-                destination=destination,
-                delta=delta,
-                cost_after=current_cost,
-            )
-        )
+        moves.append((index, origin, destination, delta, current_cost))
 
     if hb is not None:
         hb.flush(
@@ -331,11 +324,15 @@ def _cds_refine_full(
     refined = allocation.replace_index_groups(state.index_groups())
     # Recompute from scratch to shed accumulated floating-point drift.
     final_cost = allocation_cost(refined)
+    item_id_at = database.item_id_at
     return CDSResult(
         allocation=refined,
         cost=final_cost,
         initial_cost=initial_cost,
-        moves=moves,
+        moves=[
+            CDSMove(item_id_at(index), origin, destination, delta, after)
+            for index, origin, destination, delta, after in moves
+        ],
         converged=converged,
         delta_evaluations=evaluations,
     )

@@ -64,6 +64,7 @@ from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import IncrementalAllocator
+from repro.core.kernels import exact_sum
 from repro.exceptions import SimulationError
 from repro.service.clock import Clock, SystemClock
 from repro.simulation.adaptive import RotatingDrift
@@ -661,6 +662,10 @@ class BroadcastService:
         epoch = len(self.reports)
         requests = sum(map(len, waits))
         with obs.span("serve.epoch", epoch=epoch, requests=requests):
+            with obs.span("serve.summary", epoch=epoch, requests=requests):
+                measured = (
+                    summarize_blocks(waits) if waits else summarize([0.0])
+                )
             believed = self._believed
             on_air = self.live.allocation
             cost = cost_under_profile(
@@ -671,7 +676,7 @@ class BroadcastService:
                 start=start,
                 end=end,
                 requests=requests,
-                measured=summarize_blocks(waits) if waits else summarize([0.0]),
+                measured=measured,
                 allocation_cost=cost,
                 engine_cost=self._allocation_cost,
                 profile_drift=self._last_drift,
@@ -714,9 +719,7 @@ class BroadcastService:
             estimated = self._estimator.profile(
                 smoothing=self._smoothing, timestamp=end
             )
-            drift = math.fsum(
-                np.abs(estimated - self._believed_profile).tolist()
-            )
+            drift = exact_sum([np.abs(estimated - self._believed_profile)])
             self._last_drift = drift
             if drift == 0.0:
                 # Zero drift: the deterministic engine would reproduce

@@ -4,16 +4,25 @@
 reports aggregate and per-item statistics, including normal-theory
 confidence intervals — the quantities the validation suite compares
 against the analytical :math:`W_b`.
+
+The mean and the sum of squared deviations are exact sums: the
+values, in batches of :data:`_SUMMARY_BLOCK`, go through
+:func:`repro.core.kernels.exact_sum`, which returns ``math.fsum``'s
+float without handing every value to it one at a time.  The scalar
+``fsum`` summary it replaced survives as
+:func:`repro.verify.reference.summarize_reference`, which the
+``oracle.exact-sum`` check holds this module to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.kernels import exact_sum
 
 __all__ = ["SummaryStatistics", "WaitingTimeCollector"]
 
@@ -47,9 +56,9 @@ class SummaryStatistics:
         return self.ci_low <= value <= self.ci_high
 
 
-#: Samples per numpy block in :func:`summarize`: big enough to amortise
-#: the per-block calls, small enough that a block's temporaries (its
-#: float list included) stay a few hundred kilobytes.
+#: Values per batch of :func:`summarize_blocks`' exact sums: big
+#: enough to amortise the extraction's numpy calls, small enough that a
+#: batch's temporaries stay a few hundred kilobytes.
 _SUMMARY_BLOCK = 4096
 
 
@@ -59,17 +68,19 @@ def summarize(
     """Summarise a non-empty sample of finite values.
 
     ``samples`` may be a list, an ``array('d')`` or a numpy array.  The
-    mean and the sum of squared deviations are exact ``math.fsum``
-    sums, fed block by block, so the temporaries stay bounded however
-    large the sample is.
+    mean and the sum of squared deviations are exact sums — bit for bit
+    ``math.fsum`` of the values and of the correctly rounded squares —
+    taken in batches of :data:`_SUMMARY_BLOCK` values, so the
+    temporaries stay bounded however large the sample is.
 
     Raises
     ------
     ValueError
         On an empty sample or a non-finite value.
     """
-    values = np.asarray(samples, dtype=np.float64)
-    return summarize_blocks(list(_blocks(values)), z_value=z_value)
+    return summarize_blocks(
+        [np.asarray(samples, dtype=np.float64)], z_value=z_value
+    )
 
 
 def summarize_blocks(
@@ -77,9 +88,10 @@ def summarize_blocks(
 ) -> SummaryStatistics:
     """:func:`summarize` of the blocks' values taken together.
 
-    The blocks are never joined, so no temporary as large as the whole
-    sample is made.  The sums are exact, so the result is bit for bit
-    that of :func:`summarize` on the concatenation.
+    Consecutive blocks are regrouped into batches of
+    :data:`_SUMMARY_BLOCK` values, so no temporary as large as the
+    whole sample is made.  The sums are exact, so the result is bit for
+    bit that of :func:`summarize` on the concatenation.
     """
     count = sum(map(len, blocks))
     if count == 0:
@@ -94,14 +106,10 @@ def summarize_blocks(
             f"cannot summarise non-finite samples (range {minimum!r} to "
             f"{maximum!r})"
         )
-    mean = math.fsum(
-        chain.from_iterable(block.tolist() for block in blocks)
-    ) / count
+    mean = exact_sum(_batches(blocks)) / count
     if count > 1:
-        variance = math.fsum(
-            chain.from_iterable(
-                _squared_deviations(block, mean) for block in blocks
-            )
+        variance = exact_sum(
+            _squared_deviations(batch, mean) for batch in _batches(blocks)
         ) / (count - 1)
         std = math.sqrt(variance)
         halfwidth = z_value * std / math.sqrt(count)
@@ -118,17 +126,34 @@ def summarize_blocks(
     )
 
 
-def _blocks(values: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive views of at most ``_SUMMARY_BLOCK`` values."""
-    for start in range(0, len(values), _SUMMARY_BLOCK):
-        yield values[start : start + _SUMMARY_BLOCK]
+def _batches(blocks: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The blocks' values in order, in batches of ``_SUMMARY_BLOCK``
+    (the last may be shorter); a batch inside one block is a view."""
+    pending: List[np.ndarray] = []
+    size = 0
+    for block in blocks:
+        while len(block) >= _SUMMARY_BLOCK - size:
+            take = _SUMMARY_BLOCK - size
+            pending.append(block[:take])
+            block = block[take:]
+            yield _joined(pending)
+            pending, size = [], 0
+        if len(block):
+            pending.append(block)
+            size += len(block)
+    if pending:
+        yield _joined(pending)
 
 
-def _squared_deviations(block: np.ndarray, mean: float) -> List[float]:
+def _joined(pieces: List[np.ndarray]) -> np.ndarray:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _squared_deviations(batch: np.ndarray, mean: float) -> np.ndarray:
     """``(x - mean) · (x - mean)`` per value: correctly rounded squares."""
-    deviations = block - mean
+    deviations = batch - mean
     deviations *= deviations
-    return deviations.tolist()
+    return deviations
 
 
 class WaitingTimeCollector:

@@ -44,6 +44,7 @@ from repro.verify.oracles import (
     oracle_database_construction,
     oracle_dp_methods,
     oracle_drp_backends,
+    oracle_exact_sum,
     oracle_serial_parallel,
     oracle_simulators,
     oracle_warm_cold,
@@ -68,6 +69,7 @@ __all__ = [
     "oracle_database_construction",
     "oracle_dp_methods",
     "oracle_drp_backends",
+    "oracle_exact_sum",
     "oracle_serial_parallel",
     "oracle_simulators",
     "oracle_warm_cold",

@@ -66,6 +66,7 @@ from repro.verify.oracles import (
     oracle_database_construction,
     oracle_dp_methods,
     oracle_drp_backends,
+    oracle_exact_sum,
     oracle_serial_parallel,
     oracle_shard_layouts,
     oracle_simulators,
@@ -279,6 +280,12 @@ def _all_checks() -> List[CheckSpec]:
                 seed=ctx.case_seed % (2 ** 31),
             ),
             max_items=48,
+        ),
+        CheckSpec(
+            "oracle.exact-sum",
+            lambda ctx: oracle_exact_sum(
+                ctx.cds().allocation, rng=ctx.rng_for("oracle.exact-sum")
+            ),
         ),
         CheckSpec(
             "oracle.serial-parallel",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import (
@@ -368,6 +368,41 @@ def check_move_delta(
 # Prefix sums
 # ---------------------------------------------------------------------------
 
+def _sampled_ranges(
+    n: int, max_ranges: int, rng=None
+) -> List[Tuple[int, int]]:
+    """Every ``(start, stop)`` range of ``n`` items in lexicographic
+    order, or a sorted sample of ``max_ranges`` of them.
+
+    The sample draws flat indices into that order from the population
+    size — never the ``n(n+1)/2`` list — and maps each back in O(1).
+    """
+    total = n * (n + 1) // 2
+    if total <= max_ranges:
+        indices: Iterable[int] = range(total)
+    elif rng is None:
+        import random
+
+        indices = sorted(random.Random(0).sample(range(total), max_ranges))
+    else:
+        indices = sorted(
+            int(i) for i in rng.choice(total, size=max_ranges, replace=False)
+        )
+    return [_range_at(n, total, index) for index in indices]
+
+
+def _range_at(n: int, total: int, index: int) -> Tuple[int, int]:
+    """The ``index``-th ``(start, stop)`` range of ``n`` items.
+
+    Counted from the end, the last ``k`` starts hold ``k(k+1)/2``
+    ranges, so the one ``back`` places before the end has the start
+    ``n − 1 − k`` for the largest ``k`` with ``k(k+1)/2 ≤ back``.
+    """
+    back = total - 1 - index
+    k = (math.isqrt(8 * back + 1) - 1) // 2
+    return n - 1 - k, n - (back - k * (k + 1) // 2)
+
+
 def check_prefix_sums(
     items: Sequence[DataItem],
     *,
@@ -389,25 +424,7 @@ def check_prefix_sums(
         return violations
     sums = PrefixSums(items)
 
-    ranges = [
-        (start, stop)
-        for start in range(n)
-        for stop in range(start + 1, n + 1)
-    ]
-    if len(ranges) > max_ranges:
-        if rng is None:
-            import random
-
-            picker = random.Random(0)
-            indices = sorted(picker.sample(range(len(ranges)), max_ranges))
-        else:
-            indices = sorted(
-                int(i)
-                for i in rng.choice(len(ranges), size=max_ranges, replace=False)
-            )
-        ranges = [ranges[i] for i in indices]
-
-    for start, stop in ranges:
+    for start, stop in _sampled_ranges(n, max_ranges, rng):
         window = items[start:stop]
         frequency = math.fsum(item.frequency for item in window)
         size = math.fsum(item.size for item in window)

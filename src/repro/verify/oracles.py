@@ -30,6 +30,12 @@ The four oracle pairs (named ``oracle.<slug>``):
     (:func:`~repro.verify.reference.simulate_reference`) — measured
     statistics bitwise identical, and the reference executed exactly
     two events per request.
+``exact-sum``
+    The batched exact sums behind every waiting-time summary
+    (:func:`~repro.core.kernels.exact_sum`) vs plain ``math.fsum`` and
+    :func:`~repro.simulation.metrics.summarize` vs the scalar
+    :func:`~repro.verify.reference.summarize_reference`, on closed-form
+    waits and on wide-exponent values — bitwise, errors included.
 ``serial-parallel``
     ``run_experiment`` in-process (``workers=1``) vs over a process
     pool (``workers=2``) — rows bitwise identical except wall-clock
@@ -47,7 +53,10 @@ The four oracle pairs (named ``oracle.<slug>``):
 
 from __future__ import annotations
 
-from typing import List
+import math
+from typing import Callable, List
+
+import numpy as np
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
@@ -55,9 +64,13 @@ from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
 from repro.core.incremental import DEFAULT_REGRESSION_GUARD, warm_start_refine
 from repro.core.item import DataItem
+from repro.core.kernels import exact_sum
 from repro.core.partition import PrefixSums, contiguous_optimal
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.simulation.client import RequestGenerator
+from repro.simulation.metrics import summarize, summarize_blocks
+from repro.simulation.server import BroadcastProgram
 from repro.simulation.simulator import run_broadcast_simulation
 from repro.verify.invariants import REL_TOL, Violation, close
 from repro.verify.reference import (
@@ -65,6 +78,7 @@ from repro.verify.reference import (
     cds_refine_reference,
     contiguous_quadratic,
     simulate_reference,
+    summarize_reference,
 )
 
 __all__ = [
@@ -74,6 +88,7 @@ __all__ = [
     "oracle_dp_methods",
     "oracle_database_construction",
     "oracle_simulators",
+    "oracle_exact_sum",
     "oracle_serial_parallel",
     "oracle_shard_layouts",
     "oracle_warm_cold",
@@ -488,6 +503,107 @@ def oracle_simulators(
                 f"per-item summaries diverge for {len(mismatched)} item(s)",
                 items=mismatched[:8],
             )
+        )
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# Batched exact sums vs math.fsum
+# ---------------------------------------------------------------------------
+
+#: Largest sample the exact-sum oracle draws: several summary batches
+#: plus a tail, so extracted batches and raw values meet in one sum.
+_EXACT_SUM_MAX_VALUES = 20_000
+
+
+def _outcome(fn: Callable, *args) -> str:
+    """``repr`` of ``fn(*args)``, or the error it raised."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def _random_blocks(values: np.ndarray, rng) -> List[np.ndarray]:
+    """``values`` split at a few random cuts, empty blocks included."""
+    cuts = rng.integers(0, len(values) + 1, size=int(rng.integers(0, 6)))
+    return np.split(values, np.sort(cuts))
+
+
+def _wide_values(rng) -> np.ndarray:
+    """Values over a random window of the float64 exponent range,
+    subnormals included: all positive, all negative or mixed."""
+    size = int(rng.integers(1, _EXACT_SUM_MAX_VALUES))
+    low = int(rng.integers(-1076, 1025))
+    high = min(1024, low + int(rng.choice([0, 1, 8, 60, 2100])))
+    values = np.ldexp(
+        rng.uniform(0.5, 1.0, size), rng.integers(low, high + 1, size)
+    )
+    signs = rng.integers(3)
+    if signs == 1:
+        values = -values
+    elif signs == 2:
+        values *= rng.choice([-1.0, 1.0], size)
+    return values
+
+
+def oracle_exact_sum(
+    allocation: ChannelAllocation, *, rng=None
+) -> List[Violation]:
+    """Batched exact sums are ``math.fsum`` bit for bit.
+
+    Two seeded samples: the closed-form waits of a request stream on
+    ``allocation``'s program, and wide-exponent values.  On each,
+    :func:`summarize` and :func:`summarize_blocks` over random block
+    splits must equal :func:`summarize_reference` by ``repr``, and
+    :func:`exact_sum` must equal ``math.fsum`` — the same float, or the
+    same ``OverflowError`` / ``ValueError``.  The wide sample's sum also
+    runs with zeros of both signs and, now and then, an infinity or a
+    NaN mixed in.
+    """
+    name = "oracle.exact-sum"
+    violations: List[Violation] = []
+    if rng is None:
+        rng = np.random.default_rng(0)
+    requests = int(rng.integers(1, _EXACT_SUM_MAX_VALUES))
+    arrivals, rows = RequestGenerator(
+        allocation.database, seed=int(rng.integers(2 ** 31))
+    ).sample_batch(requests)
+    waits = BroadcastProgram(allocation).waiting_times(rows, arrivals)
+    wide = _wide_values(rng)
+    specials = wide.copy()
+    picks = rng.integers(0, len(specials), size=3)
+    specials[picks[:2]] = [0.0, -0.0]
+    if rng.random() < 0.25:
+        specials[picks[2]] = rng.choice([math.inf, -math.inf, math.nan])
+
+    def check(label: str, production: str, reference: str) -> None:
+        if production != reference:
+            violations.append(
+                _violation(
+                    name,
+                    f"{label}: {production} != reference {reference}",
+                    label=label,
+                )
+            )
+
+    # Squares of wide values overflow to inf on purpose.
+    with np.errstate(over="ignore"):
+        for label, values in (("waits", waits), ("wide", wide)):
+            reference = _outcome(summarize_reference, values)
+            check(f"{label} summarize", _outcome(summarize, values), reference)
+            check(
+                f"{label} summarize_blocks",
+                _outcome(summarize_blocks, _random_blocks(values, rng)),
+                reference,
+            )
+    for label, values in (("waits", waits), ("wide", specials)):
+        expected = _outcome(math.fsum, values.tolist())
+        check(f"{label} exact_sum", _outcome(exact_sum, [values]), expected)
+        check(
+            f"{label} exact_sum over blocks",
+            _outcome(exact_sum, _random_blocks(values, rng)),
+            expected,
         )
     return violations
 

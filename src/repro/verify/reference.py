@@ -16,7 +16,9 @@ them bit for bit:
   (``oracle.dp-methods``);
 * :func:`simulate_reference` — the discrete-event broadcast simulation:
   one :class:`~repro.simulation.channel.BroadcastChannel` per item
-  group, two heap events per request (``oracle.simulators``).
+  group, two heap events per request (``oracle.simulators``);
+* :func:`summarize_reference` — the sample summary with one
+  ``math.fsum`` over every value (``oracle.exact-sum``).
 
 Both sides evaluate the identical floating-point expressions in the
 identical order and break ties the same way (first maximum / first
@@ -29,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import _IMPROVEMENT_EPSILON, CDSMove, CDSResult
@@ -45,7 +49,7 @@ from repro.simulation.channel import BroadcastChannel
 from repro.simulation.client import RequestGenerator
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import EventPriority
-from repro.simulation.metrics import WaitingTimeCollector
+from repro.simulation.metrics import SummaryStatistics, WaitingTimeCollector
 from repro.simulation.simulator import SimulationReport
 
 __all__ = [
@@ -56,6 +60,7 @@ __all__ = [
     "contiguous_quadratic",
     "generate_requests",
     "simulate_reference",
+    "summarize_reference",
 ]
 
 
@@ -307,3 +312,45 @@ def simulate_reference(
         },
     )
     return report, engine.processed_events
+
+
+def summarize_reference(
+    samples: Sequence[float], *, z_value: float = 1.96
+) -> SummaryStatistics:
+    """:func:`~repro.simulation.metrics.summarize` with one plain
+    ``math.fsum`` over every value and every squared deviation.
+
+    Same statistics, same float expressions and same errors: a
+    ``ValueError`` on an empty or non-finite sample, and whatever
+    ``fsum`` raises (``OverflowError`` on an intermediate overflow).
+    """
+    array = np.asarray(samples, dtype=np.float64)
+    count = len(array)
+    if count == 0:
+        raise ValueError("cannot summarise an empty sample")
+    minimum = float(array.min())
+    maximum = float(array.max())
+    values = array.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(
+            f"cannot summarise non-finite samples (range {minimum!r} to "
+            f"{maximum!r})"
+        )
+    mean = math.fsum(values) / count
+    if count > 1:
+        variance = math.fsum(
+            (value - mean) * (value - mean) for value in values
+        ) / (count - 1)
+        std = math.sqrt(variance)
+        halfwidth = z_value * std / math.sqrt(count)
+    else:
+        std = 0.0
+        halfwidth = 0.0
+    return SummaryStatistics(
+        count=count,
+        mean=mean,
+        std=std,
+        ci_halfwidth=halfwidth,
+        minimum=minimum,
+        maximum=maximum,
+    )

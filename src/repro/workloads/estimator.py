@@ -36,6 +36,7 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.kernels import exact_sum
 from repro.exceptions import SimulationError
 
 __all__ = ["DecayedCounts", "profile_l1_error"]
@@ -179,7 +180,7 @@ class DecayedCounts:
         deflation = 2.0 ** (-(timestamp - self._origin) / self.half_life)
         counts = self._counts if rows is None else self._counts[rows]
         counts = counts * deflation
-        total = math.fsum(counts.tolist()) + smoothing * len(counts)
+        total = exact_sum([counts]) + smoothing * len(counts)
         if total <= 0:
             raise SimulationError(
                 "cannot estimate from empty counts with zero smoothing"

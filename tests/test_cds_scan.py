@@ -276,13 +276,16 @@ def exact_deltas(state):
     """Every (destination, rank) cell through :func:`cds_delta_into` —
     bitwise the scalar reference's floats."""
     out = np.empty((state.num_channels, len(state)))
-    return kernels.cds_delta_into(
-        *state.block_columns(0, len(state)),
-        state.agg_z[:, None],
-        state.agg_f[:, None],
-        out,
-        np.empty_like(out),
-    )
+    for start, stop in zip(state.starts, state.starts[1:]):
+        block = out[:, start:stop]
+        kernels.cds_delta_into(
+            *state.block_columns(start, stop),
+            state.agg_z[:, None],
+            state.agg_f[:, None],
+            block,
+            np.empty_like(block),
+        )
+    return out
 
 
 class TestExactRescore:

@@ -29,6 +29,7 @@ from repro.verify.fuzz import (
 ORACLE_PAIRS = (
     "oracle.drp-backends",
     "oracle.simulators",
+    "oracle.exact-sum",
     "oracle.serial-parallel",
     "oracle.warm-cold",
 )

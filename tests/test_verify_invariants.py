@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.allocation import ChannelAllocation
@@ -16,6 +19,7 @@ from repro.verify.invariants import (
     check_move_delta,
     check_prefix_sums,
 )
+from repro.verify.invariants import _sampled_ranges
 
 
 @pytest.fixture
@@ -109,6 +113,27 @@ class TestPrefixSums:
     def test_clean_on_empty_and_single(self, tiny_db):
         assert check_prefix_sums([]) == []
         assert check_prefix_sums(tiny_db.items[:1]) == []
+
+    @pytest.mark.parametrize("n", [1, 22, 23, 2000])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_sampled_ranges_match_the_full_list(self, n, seeded):
+        """The sample drawn from the population size picks the ranges
+        the same draws picked from the full ``n(n+1)/2`` list."""
+        ranges = [
+            (start, stop)
+            for start in range(n)
+            for stop in range(start + 1, n + 1)
+        ]
+        if len(ranges) > 256:
+            if seeded:
+                draws = np.random.default_rng(n).choice(
+                    len(ranges), size=256, replace=False
+                )
+            else:
+                draws = random.Random(0).sample(range(len(ranges)), 256)
+            ranges = [ranges[i] for i in sorted(int(i) for i in draws)]
+        rng = np.random.default_rng(n) if seeded else None
+        assert _sampled_ranges(n, 256, rng) == ranges
 
 
 class TestLowerBounds:
