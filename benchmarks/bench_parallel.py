@@ -10,7 +10,7 @@ root (the runner-layer companion of ``BENCH_core.json``):
    with available cores — ``config.cpu_count`` is recorded precisely so
    a number measured on a 1-CPU CI runner is not misread.
 2. **Simulation** — the event-driven reference
-   (:func:`repro.verify.reference.simulate_reference`) against the
+   (:func:`repro.verify.eventsim.simulate_reference`) against the
    closed-form production run at N clients (default 10 000), asserting
    bitwise-identical measured statistics and recording the speedup.
    The ``engine_*`` / ``batched_*`` keys keep their names: the
@@ -48,7 +48,7 @@ from repro.core.scheduler import DRPCDSAllocator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.simulation.simulator import run_broadcast_simulation
-from repro.verify.reference import simulate_reference
+from repro.verify.eventsim import simulate_reference
 from repro.workloads.generator import WorkloadSpec, generate_database
 
 SCHEMA_VERSION = 1

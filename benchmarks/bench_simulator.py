@@ -14,7 +14,7 @@ from benchmarks.conftest import save_report
 from repro.analysis.tables import format_table
 from repro.core.scheduler import make_allocator
 from repro.simulation.simulator import run_broadcast_simulation
-from repro.verify.reference import simulate_reference
+from repro.verify.eventsim import simulate_reference
 
 
 @pytest.fixture(scope="module")

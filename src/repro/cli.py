@@ -397,18 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--quiet", action="store_true")
 
-    index = subparsers.add_parser(
-        "index",
-        help="(1, m) indexing trade-off on the hottest channel",
-    )
-    index.add_argument("--items", type=int, default=120)
-    index.add_argument("--channels", type=int, default=6)
-    index.add_argument(
-        "--entry-size", type=float, default=0.25,
-        help="index directory units per item",
-    )
-    index.add_argument("--seed", type=int, default=0)
-
     convert = subparsers.add_parser(
         "trace-convert",
         help="convert a JSONL trace to Chrome trace_event JSON",
@@ -1075,62 +1063,6 @@ def _cmd_hetero(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.core.scheduler import DRPCDSAllocator
-    from repro.simulation.indexing import (
-        IndexedChannel,
-        optimal_index_replication,
-    )
-
-    database = generate_database(
-        WorkloadSpec(num_items=args.items, seed=args.seed)
-    )
-    allocation = DRPCDSAllocator().allocate(
-        database, args.channels
-    ).allocation
-    hot = max(
-        range(allocation.num_channels),
-        key=lambda i: allocation.channel_stats[i].frequency,
-    )
-    items = allocation.channel_items(hot)
-    stats = allocation.channel_stats[hot]
-    rule = optimal_index_replication(
-        stats.size, len(items) * args.entry_size
-    )
-    rows = []
-    weight = sum(item.frequency for item in items)
-    for m in sorted({1, 2, rule, min(8, len(items)), len(items)}):
-        if not 1 <= m <= len(items):
-            continue
-        channel = IndexedChannel(
-            hot, items, DEFAULT_BANDWIDTH,
-            replication=m, index_entry_size=args.entry_size,
-        )
-        wait = sum(
-            item.frequency
-            * channel.expected_timing(item.item_id).waiting_time
-            for item in items
-        ) / weight
-        tune = sum(
-            item.frequency
-            * channel.expected_timing(item.item_id).tuning_time
-            for item in items
-        ) / weight
-        rows.append((m, wait, tune, (1 - tune / wait) * 100))
-    print(
-        format_table(
-            ["m", "E[wait] (s)", "E[tuning] (s)", "dozing (%)"],
-            rows,
-            title=(
-                f"(1, m) indexing on the hottest channel "
-                f"({stats.count} items); sqrt rule: m* = {rule}"
-            ),
-            precision=2,
-        )
-    )
-    return 0
-
-
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
     output = args.output
     if output is None:
@@ -1506,7 +1438,6 @@ _DISPATCH = {
     "adaptive": _cmd_adaptive,
     "serve": _cmd_serve,
     "hetero": _cmd_hetero,
-    "index": _cmd_index,
     "trace-convert": _cmd_trace_convert,
     "verify": _cmd_verify,
     "shard": _cmd_shard,

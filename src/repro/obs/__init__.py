@@ -239,10 +239,12 @@ def configure(
 
     Always replaces the current instances — worker processes call this
     in their initializer so a forked child never inherits (and later
-    re-ships) spans already recorded by its parent.
+    re-ships) spans already recorded by its parent.  The replaced
+    tracer is closed, which stops any ``tracemalloc`` it started.
     """
     global _tracer, _metrics
     with _state_lock:
+        _tracer.close()
         _tracer = Tracer(track_memory=track_memory) if trace else NULL_TRACER
         _metrics = MetricsRegistry() if metrics else NULL_METRICS
         return _tracer, _metrics
@@ -265,13 +267,15 @@ def configure_from_env() -> Tuple[Optional[str], Optional[str]]:
 def reset() -> None:
     """Restore the disabled (no-op) tracer and registry.
 
-    Also tears down any live facilities (server, stream, profiler) and
+    Also closes the tracer (stopping any ``tracemalloc`` it started),
+    tears down any live facilities (server, stream, profiler) and
     drops worker overlays, so tests and sequential CLI invocations
     always start from a clean slate.
     """
     global _tracer, _metrics
     stop_live()
     with _state_lock:
+        _tracer.close()
         _tracer = NULL_TRACER
         _metrics = NULL_METRICS
     with _overlay_lock:

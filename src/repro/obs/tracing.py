@@ -171,6 +171,9 @@ class NullTracer:
     def drain_payload(self) -> List[Dict[str, Any]]:
         return []
 
+    def close(self) -> None:
+        pass
+
 
 #: The process-wide disabled tracer (a singleton; also the default).
 NULL_TRACER = NullTracer()
@@ -245,8 +248,8 @@ class Tracer:
     track_memory:
         When true, every span also records the ``tracemalloc`` peak
         observed while it was open (starts ``tracemalloc`` on first
-        use).  Costs roughly an order of magnitude in allocator-heavy
-        code — strictly opt-in.
+        use if it is off; :meth:`close` stops it again).  Costs roughly
+        an order of magnitude in allocator-heavy code — strictly opt-in.
     """
 
     enabled = True
@@ -287,6 +290,16 @@ class Tracer:
             self._memory_started = True
         if hasattr(tracemalloc, "reset_peak"):
             tracemalloc.reset_peak()
+
+    def close(self) -> None:
+        """Stop ``tracemalloc`` if this tracer started it.
+
+        Tracing that was already on when the tracer first needed it is
+        left on.  The records stay readable after the call.
+        """
+        if self._memory_started:
+            self._memory_started = False
+            tracemalloc.stop()
 
     def _memory_exit(self) -> Optional[int]:
         if not tracemalloc.is_tracing():  # pragma: no cover - defensive

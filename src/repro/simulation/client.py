@@ -90,7 +90,7 @@ class RequestGenerator:
         of every request and the database row of the item it asks for —
         one exponential batch, then one choice batch, then a sequential
         sum.  The event-driven reference
-        (:func:`repro.verify.reference.generate_requests`) wraps these
+        (:func:`repro.verify.eventsim.generate_requests`) wraps these
         very draws, so both simulators see one stream per seed.
         """
         if num_requests < 0:

@@ -1,8 +1,7 @@
-"""Measurement collection for broadcast simulations.
+"""Waiting-time summaries for broadcast simulations.
 
-:class:`WaitingTimeCollector` accumulates per-request waiting times and
-reports aggregate and per-item statistics, including normal-theory
-confidence intervals — the quantities the validation suite compares
+:func:`summarize` reports a sample's mean, deviation and normal-theory
+confidence interval — the quantities the validation suite compares
 against the analytical :math:`W_b`.
 
 The mean and the sum of squared deviations are exact sums: the
@@ -18,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 from repro.core.kernels import exact_sum
 
-__all__ = ["SummaryStatistics", "WaitingTimeCollector"]
+__all__ = ["SummaryStatistics", "summarize", "summarize_blocks"]
 
 
 @dataclass(frozen=True)
@@ -154,45 +153,3 @@ def _squared_deviations(batch: np.ndarray, mean: float) -> np.ndarray:
     deviations = batch - mean
     deviations *= deviations
     return deviations
-
-
-class WaitingTimeCollector:
-    """Accumulates waiting-time observations from a simulation run."""
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-        self._by_item: Dict[str, List[float]] = {}
-
-    def record(self, item_id: str, waiting_time: float) -> None:
-        """Record one completed request."""
-        if not math.isfinite(waiting_time):
-            raise ValueError(
-                f"waiting time must be finite, got {waiting_time!r}"
-            )
-        if waiting_time < 0:
-            raise ValueError(
-                f"waiting time cannot be negative, got {waiting_time}"
-            )
-        self._samples.append(waiting_time)
-        self._by_item.setdefault(item_id, []).append(waiting_time)
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def item_ids(self) -> Tuple[str, ...]:
-        return tuple(self._by_item)
-
-    def overall(self, *, z_value: float = 1.96) -> SummaryStatistics:
-        """Summary over all requests — the empirical :math:`W_b`."""
-        return summarize(self._samples, z_value=z_value)
-
-    def for_item(
-        self, item_id: str, *, z_value: float = 1.96
-    ) -> Optional[SummaryStatistics]:
-        """Summary for one item, or ``None`` if it was never requested."""
-        samples = self._by_item.get(item_id)
-        if not samples:
-            return None
-        return summarize(samples, z_value=z_value)

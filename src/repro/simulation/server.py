@@ -13,9 +13,9 @@ download time, per channel its cycle length and bandwidth — built
 straight from the allocation's index groups and the database's size
 array; no per-item object exists.  All channels share one bandwidth
 (the paper's model); a per-channel override serves the
-heterogeneous-bandwidth extension.  The scalar per-item channel of
-:mod:`repro.simulation.channel` is the reference these arrays are held
-to bit for bit.
+heterogeneous-bandwidth extension.  The scalar per-item
+:class:`~repro.verify.eventsim.BroadcastChannel` is the reference these
+arrays are held to bit for bit.
 """
 
 from __future__ import annotations

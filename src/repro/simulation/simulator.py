@@ -11,7 +11,7 @@ its tune-in instant and its channel's cycle geometry
 (:meth:`~repro.simulation.server.BroadcastProgram.waiting_times`), so
 the whole stream is a handful of numpy gathers.  The discrete-event
 form of the same run — two heap events per request on per-item
-channels — is :func:`repro.verify.reference.simulate_reference`, which
+channels — is :func:`repro.verify.eventsim.simulate_reference`, which
 the ``oracle.simulators`` check holds this driver to bit for bit.
 """
 

@@ -27,7 +27,7 @@ The four oracle pairs (named ``oracle.<slug>``):
     sequences (every float), costs and groupings, cold and seeded.
 ``simulators``
     The closed-form production simulation vs the event-driven reference
-    (:func:`~repro.verify.reference.simulate_reference`) — measured
+    (:func:`~repro.verify.eventsim.simulate_reference`) — measured
     statistics bitwise identical, and the reference executed exactly
     two events per request.
 ``exact-sum``
@@ -72,12 +72,12 @@ from repro.simulation.client import RequestGenerator
 from repro.simulation.metrics import summarize, summarize_blocks
 from repro.simulation.server import BroadcastProgram
 from repro.simulation.simulator import run_broadcast_simulation
+from repro.verify.eventsim import simulate_reference
 from repro.verify.invariants import REL_TOL, Violation, close
 from repro.verify.reference import (
     best_split_reference,
     cds_refine_reference,
     contiguous_quadratic,
-    simulate_reference,
     summarize_reference,
 )
 

@@ -14,9 +14,6 @@ them bit for bit:
   cut scan over a range of shared prefix sums (``oracle.drp-backends``);
 * :func:`contiguous_quadratic` — the O(K·N²) textbook contiguous DP
   (``oracle.dp-methods``);
-* :func:`simulate_reference` — the discrete-event broadcast simulation:
-  one :class:`~repro.simulation.channel.BroadcastChannel` per item
-  group, two heap events per request (``oracle.simulators``);
 * :func:`summarize_reference` — the sample summary with one
   ``math.fsum`` over every value (``oracle.exact-sum``).
 
@@ -29,37 +26,22 @@ production module imports this one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import _IMPROVEMENT_EPSILON, CDSMove, CDSResult
-from repro.core.cost import (
-    DEFAULT_BANDWIDTH,
-    allocation_cost,
-    average_waiting_time,
-    move_delta,
-)
+from repro.core.cost import allocation_cost, move_delta
 from repro.core.item import DataItem
 from repro.core.partition import PrefixSums
-from repro.exceptions import SimulationError
-from repro.simulation.channel import BroadcastChannel
-from repro.simulation.client import RequestGenerator
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import EventPriority
-from repro.simulation.metrics import SummaryStatistics, WaitingTimeCollector
-from repro.simulation.simulator import SimulationReport
+from repro.simulation.metrics import SummaryStatistics
 
 __all__ = [
-    "Request",
     "best_move_reference",
     "best_split_reference",
     "cds_refine_reference",
     "contiguous_quadratic",
-    "generate_requests",
-    "simulate_reference",
     "summarize_reference",
 ]
 
@@ -209,109 +191,6 @@ def contiguous_quadratic(
         stop = start
     boundaries.reverse()
     return boundaries, dp[num_groups][n]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One client request: which item, and when the client tuned in."""
-
-    request_id: int
-    item_id: str
-    arrival_time: float
-
-
-def generate_requests(
-    generator: RequestGenerator, num_requests: int
-) -> Iterator[Request]:
-    """``generator.sample_batch(num_requests)`` as :class:`Request`
-    objects with increasing arrival times."""
-    arrivals, picks = generator.sample_batch(num_requests)
-    item_ids = generator.item_ids
-    for request_id in range(num_requests):
-        yield Request(
-            request_id=request_id,
-            item_id=item_ids[int(picks[request_id])],
-            arrival_time=float(arrivals[request_id]),
-        )
-
-
-def simulate_reference(
-    allocation: ChannelAllocation,
-    *,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    bandwidths: Optional[Sequence[float]] = None,
-    num_requests: int = 10_000,
-    arrival_rate: float = 1.0,
-    seed: int = 0,
-    request_probabilities: Optional[Sequence[float]] = None,
-) -> Tuple[SimulationReport, int]:
-    """The event-driven run of
-    :func:`~repro.simulation.simulator.run_broadcast_simulation`.
-
-    Each request becomes an ARRIVAL event; its handler asks the carrying
-    channel for the completion of the next full transmission and
-    schedules a DELIVERY event there, whose handler records the wait.
-    Returns the report and the number of events the kernel executed
-    (``2 · num_requests``).
-    """
-    if num_requests < 1:
-        raise SimulationError(f"num_requests must be >= 1, got {num_requests}")
-    channels = [
-        BroadcastChannel(
-            index,
-            group,
-            bandwidths[index] if bandwidths is not None else bandwidth,
-        )
-        for index, group in enumerate(allocation.channels)
-    ]
-    channel_of = {
-        item.item_id: channel for channel in channels for item in channel.items
-    }
-    generator = RequestGenerator(
-        allocation.database,
-        arrival_rate=arrival_rate,
-        seed=seed,
-        request_probabilities=request_probabilities,
-    )
-    engine = SimulationEngine()
-    collector = WaitingTimeCollector()
-
-    def make_arrival_handler(request: Request):
-        def on_arrival() -> None:
-            completion = channel_of[request.item_id].delivery_completion(
-                request.item_id, engine.now
-            )
-
-            def on_delivery() -> None:
-                collector.record(
-                    request.item_id, engine.now - request.arrival_time
-                )
-
-            engine.schedule_at(
-                completion, on_delivery, priority=EventPriority.DELIVERY
-            )
-
-        return on_arrival
-
-    for request in generate_requests(generator, num_requests):
-        engine.schedule_at(
-            request.arrival_time,
-            make_arrival_handler(request),
-            priority=EventPriority.ARRIVAL,
-        )
-    engine.run()
-    report = SimulationReport(
-        measured=collector.overall(),
-        analytical_waiting_time=average_waiting_time(
-            allocation, bandwidth=bandwidth
-        ),
-        num_requests=collector.count,
-        per_item={
-            item_id: collector.for_item(item_id)
-            for item_id in collector.item_ids
-        },
-    )
-    return report, engine.processed_events
 
 
 def summarize_reference(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.database import BroadcastDatabase
@@ -40,6 +42,25 @@ PAPER_GOLDENS = {
     ),
     "cds_cost": PAPER_CDS_COST,  # 22.29
 }
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_tracemalloc():
+    """Fail a test that leaves ``tracemalloc`` on when it found it off.
+
+    Allocation tracing left running slows every later test several
+    fold.  The guard stops it so the report names only the test that
+    leaked, and fails that test: the fix belongs where the tracing was
+    started (``Tracer.close`` or ``obs.reset``), not here.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    yield
+    if not was_tracing and tracemalloc.is_tracing():
+        tracemalloc.stop()
+        pytest.fail(
+            "the test left tracemalloc tracing on; stop it where it was "
+            "started (Tracer.close or obs.reset)"
+        )
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Unit tests for repro.simulation.channel."""
+"""Unit tests for the reference BroadcastChannel (repro.verify.eventsim)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
-from repro.simulation.channel import BroadcastChannel
+from repro.verify.eventsim import BroadcastChannel
 
 
 @pytest.fixture

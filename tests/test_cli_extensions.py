@@ -1,4 +1,4 @@
-"""CLI tests for the extension subcommands (adaptive, hetero, index)."""
+"""CLI tests for the extension subcommands (adaptive, hetero, gap)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.cli import build_parser, main
 class TestParsing:
     def test_extension_subcommands_exist(self):
         parser = build_parser()
-        for command in ("adaptive", "hetero", "index", "gap"):
+        for command in ("adaptive", "hetero", "gap"):
             args = parser.parse_args([command])
             assert args.command == command
 
@@ -63,26 +63,3 @@ class TestHeteroCommand:
         output = capsys.readouterr().out
         saved = float(output.rsplit("saves ", 1)[1].split("%")[0])
         assert saved >= -1e-9
-
-
-class TestIndexCommand:
-    def test_prints_tradeoff_table(self, capsys):
-        code = main(
-            ["index", "--items", "40", "--channels", "3"]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "sqrt rule" in output
-        assert "E[wait] (s)" in output
-        assert "dozing" in output
-
-    def test_custom_entry_size(self, capsys):
-        code = main(
-            [
-                "index",
-                "--items", "40",
-                "--channels", "3",
-                "--entry-size", "1.0",
-            ]
-        )
-        assert code == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulation.client import RequestGenerator
-from repro.verify.reference import generate_requests
+from repro.verify.eventsim import generate_requests
 
 
 class TestGeneration:

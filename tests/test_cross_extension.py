@@ -15,9 +15,7 @@ from repro.core.hetero import HeteroDRPCDSAllocator
 from repro.core.incremental import warm_start_refine
 from repro.core.item import DataItem
 from repro.core.scheduler import DRPCDSAllocator
-from repro.simulation.indexing import IndexedChannel
 from repro.simulation.simulator import run_broadcast_simulation
-from repro.workloads.catalog import build_catalogue
 from repro.workloads.estimator import DecayedCounts
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.trace import synthesize_trace
@@ -75,30 +73,6 @@ class TestEstimatedProfileDownstream:
         assert sorted(result.allocation.database.item_ids) == sorted(
             estimated_db.item_ids
         )
-
-
-class TestMultimediaCatalogueDownstream:
-    """The content-class catalogue through air indexing."""
-
-    @pytest.fixture(scope="class")
-    def portal(self):
-        database = build_catalogue(seed=9)
-        allocation = DRPCDSAllocator().allocate(database, 6).allocation
-        return database, allocation
-
-    def test_indexing_hot_portal_channel(self, portal):
-        database, allocation = portal
-        hot = max(
-            range(allocation.num_channels),
-            key=lambda i: allocation.channel_stats[i].frequency,
-        )
-        items = allocation.channel_items(hot)
-        channel = IndexedChannel(
-            hot, items, 100.0, replication=min(2, len(items)),
-            index_entry_size=0.1,
-        )
-        timing = channel.expected_timing(items[0].item_id)
-        assert 0 < timing.tuning_time <= timing.waiting_time
 
 
 class TestEditThenMeasure:

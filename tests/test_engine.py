@@ -1,4 +1,4 @@
-"""Unit tests for the DES kernel (repro.simulation.engine, .events)."""
+"""Unit tests for the DES kernel of repro.verify.eventsim."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import math
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event, EventPriority
+from repro.verify.eventsim import Event, EventPriority, SimulationEngine
 
 
 class TestEventOrdering:
@@ -27,12 +26,6 @@ class TestEventOrdering:
         second = Event(1.0, 0, 2, callback=lambda: None)
         assert first < second
 
-    def test_cancel_flag(self):
-        event = Event(1.0, 0, 1, callback=lambda: None)
-        assert not event.cancelled
-        event.cancel()
-        assert event.cancelled
-
 
 class TestScheduling:
     def test_schedule_at_runs_in_time_order(self):
@@ -44,26 +37,12 @@ class TestScheduling:
         assert engine.run() == 3
         assert fired == ["early", "middle", "late"]
 
-    def test_schedule_after_is_relative(self):
-        engine = SimulationEngine()
-        times = []
-        engine.schedule_at(5.0, lambda: engine.schedule_after(
-            2.5, lambda: times.append(engine.now)
-        ))
-        engine.run()
-        assert times == [7.5]
-
     def test_past_scheduling_rejected(self):
         engine = SimulationEngine()
         engine.schedule_at(5.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError, match="before current time"):
             engine.schedule_at(1.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        engine = SimulationEngine()
-        with pytest.raises(SimulationError):
-            engine.schedule_after(-1.0, lambda: None)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_time_rejected(self, bad):
@@ -105,85 +84,15 @@ class TestExecution:
         engine.run()
         assert observed == sorted(observed)
 
-    def test_step_returns_false_when_empty(self):
+    def test_processed_counter(self):
         engine = SimulationEngine()
-        assert engine.step() is False
-
-    def test_run_until_stops_and_advances_clock(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule_at(1.0, lambda: fired.append(1))
-        engine.schedule_at(10.0, lambda: fired.append(10))
-        executed = engine.run(until=5.0)
-        assert executed == 1
-        assert fired == [1]
-        assert engine.now == 5.0
-        # Remaining event still runs later.
-        engine.run()
-        assert fired == [1, 10]
-
-    def test_max_events_cap(self):
-        engine = SimulationEngine()
-
-        def reschedule():
-            engine.schedule_after(1.0, reschedule)
-
-        engine.schedule_at(0.0, reschedule)
-        executed = engine.run(max_events=25)
-        assert executed == 25
-
-    def test_cancelled_events_skipped(self):
-        engine = SimulationEngine()
-        fired = []
-        keep = engine.schedule_at(1.0, lambda: fired.append("keep"))
-        drop = engine.schedule_at(2.0, lambda: fired.append("drop"))
-        drop.cancel()
-        engine.run()
-        assert fired == ["keep"]
-        del keep
-
-    def test_processed_and_pending_counters(self):
-        engine = SimulationEngine()
-        engine.schedule_at(1.0, lambda: None)
-        cancelled = engine.schedule_at(2.0, lambda: None)
-        cancelled.cancel()
+        for t in (1.0, 2.0, 3.0):
+            engine.schedule_at(t, lambda: None)
+        assert engine.run() == 3
+        assert engine.processed_events == 3
         engine.schedule_at(3.0, lambda: None)
-        assert engine.pending_events == 2
-        engine.run()
-        assert engine.processed_events == 2
-        assert engine.pending_events == 0
-
-    def test_double_cancel_decrements_once(self):
-        engine = SimulationEngine()
-        event = engine.schedule_at(1.0, lambda: None)
-        engine.schedule_at(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert engine.pending_events == 1
-        engine.run()
-        assert engine.pending_events == 0
-
-    def test_cancel_after_pop_does_not_skew_counter(self):
-        engine = SimulationEngine()
-        events = []
-        events.append(engine.schedule_at(1.0, lambda: None))
-        engine.schedule_at(2.0, lambda: None)
-        engine.run()
-        assert engine.pending_events == 0
-        # Cancelling an already-executed event must be a no-op for the
-        # live counter, not drive it negative.
-        events[0].cancel()
-        assert engine.pending_events == 0
-
-    def test_run_not_reentrant(self):
-        engine = SimulationEngine()
-
-        def nested():
-            engine.run()
-
-        engine.schedule_at(1.0, nested)
-        with pytest.raises(SimulationError, match="re-entrant"):
-            engine.run()
+        assert engine.run() == 1
+        assert engine.processed_events == 4
 
     def test_callbacks_can_chain(self):
         """A three-stage pipeline driven purely by event chaining."""
@@ -193,7 +102,9 @@ class TestExecution:
         def stage(n):
             stages.append((n, engine.now))
             if n < 3:
-                engine.schedule_after(n + 1.0, lambda: stage(n + 1))
+                engine.schedule_at(
+                    engine.now + n + 1.0, lambda: stage(n + 1)
+                )
 
         engine.schedule_at(0.0, lambda: stage(1))
         engine.run()

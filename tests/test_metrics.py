@@ -1,4 +1,5 @@
-"""Unit tests for repro.simulation.metrics."""
+"""Unit tests for repro.simulation.metrics and the reference
+WaitingTimeCollector (repro.verify.eventsim)."""
 
 from __future__ import annotations
 
@@ -9,11 +10,8 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.simulation.metrics import (
-    WaitingTimeCollector,
-    summarize,
-    summarize_blocks,
-)
+from repro.simulation.metrics import summarize, summarize_blocks
+from repro.verify.eventsim import WaitingTimeCollector
 
 
 class TestSummarize:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,9 +123,38 @@ class TestTracer:
         tracer = Tracer(track_memory=True)
         with tracer.span("alloc"):
             _ = [0] * 50_000
+        tracer.close()
         record = tracer.records[0]
         assert record.peak_memory is not None
         assert record.peak_memory > 0
+        assert not tracemalloc.is_tracing()
+
+    def test_reset_stops_the_tracemalloc_it_started(self):
+        assert not tracemalloc.is_tracing()
+        obs.configure(trace=True, track_memory=True)
+        with obs.span("alloc"):
+            assert tracemalloc.is_tracing()
+        obs.reset()
+        assert not tracemalloc.is_tracing()
+
+    def test_configure_stops_the_tracemalloc_of_the_tracer_it_replaces(self):
+        obs.configure(trace=True, track_memory=True)
+        with obs.span("alloc"):
+            pass
+        obs.configure(trace=True)
+        assert not tracemalloc.is_tracing()
+
+    def test_tracemalloc_started_elsewhere_stays_on(self):
+        tracemalloc.start()
+        try:
+            obs.configure(trace=True, track_memory=True)
+            with obs.span("alloc"):
+                _ = [0] * 50_000
+            assert obs.get_tracer().records[0].peak_memory > 0
+            obs.reset()
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
 
     def test_export_jsonl_and_chrome(self, tmp_path):
         tracer = Tracer()

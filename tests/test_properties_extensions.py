@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the extension modules.
 
-Covers the invariants of the heterogeneous-bandwidth model, (1, m)
-indexing, trace/estimation, and persistence round-trips for arbitrary
-valid inputs.
+Covers the invariants of the heterogeneous-bandwidth model,
+trace/estimation, and persistence round-trips for arbitrary valid
+inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.io import (
     database_from_json,
     database_to_json,
 )
-from repro.simulation.indexing import IndexedChannel
 from repro.workloads.estimator import DecayedCounts
 
 _positive = st.floats(
@@ -132,51 +131,6 @@ class TestHeteroProperties:
         assert all(
             s.count >= 1 for s in result.allocation.channel_stats
         )
-
-
-class TestIndexingProperties:
-    @common
-    @given(
-        databases(min_items=3, max_items=12),
-        st.integers(min_value=1, max_value=3),
-        st.floats(min_value=0.01, max_value=2.0),
-        st.floats(min_value=0.0, max_value=100.0),
-    )
-    def test_tuning_bounded_by_waiting(self, db, m, entry, tune_in):
-        items = list(db.items)
-        m = min(m, len(items))
-        channel = IndexedChannel(
-            0, items, 10.0, replication=m, index_entry_size=entry
-        )
-        timing = channel.retrieve(items[0].item_id, tune_in)
-        assert 0 < timing.tuning_time <= timing.waiting_time + 1e-9
-
-    @common
-    @given(
-        databases(min_items=3, max_items=10),
-        st.floats(min_value=0.0, max_value=50.0),
-    )
-    def test_periodicity(self, db, tune_in):
-        items = list(db.items)
-        channel = IndexedChannel(
-            0, items, 10.0, replication=2, index_entry_size=0.5
-        )
-        target = items[-1].item_id
-        a = channel.retrieve(target, tune_in)
-        b = channel.retrieve(target, tune_in + channel.cycle_length)
-        assert a.waiting_time == pytest.approx(b.waiting_time, abs=1e-6)
-        assert a.tuning_time == pytest.approx(b.tuning_time, abs=1e-6)
-
-    @common
-    @given(databases(min_items=3, max_items=10))
-    def test_waiting_at_least_download(self, db):
-        items = list(db.items)
-        channel = IndexedChannel(
-            0, items, 10.0, replication=1, index_entry_size=0.5
-        )
-        for item in items[:3]:
-            timing = channel.expected_timing(item.item_id)
-            assert timing.waiting_time >= item.size / 10.0 - 1e-9
 
 
 class TestEstimatorProperties:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.item import DataItem
-from repro.simulation.channel import BroadcastChannel
+from repro.verify.eventsim import BroadcastChannel
 
 _positive = st.floats(
     min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False

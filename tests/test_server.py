@@ -9,8 +9,8 @@ import pytest
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import average_waiting_time
 from repro.exceptions import SimulationError
-from repro.simulation.channel import BroadcastChannel
 from repro.simulation.server import BroadcastProgram
+from repro.verify.eventsim import BroadcastChannel
 
 
 @pytest.fixture

@@ -17,11 +17,14 @@ from repro.core.cost import DEFAULT_BANDWIDTH
 from repro.core.item import items_created
 from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import SimulationError
-from repro.simulation.channel import BroadcastChannel
 from repro.simulation.client import RequestGenerator
 from repro.simulation.server import BroadcastProgram
 from repro.simulation.simulator import run_broadcast_simulation
-from repro.verify.reference import generate_requests, simulate_reference
+from repro.verify.eventsim import (
+    BroadcastChannel,
+    generate_requests,
+    simulate_reference,
+)
 
 
 @pytest.fixture
