@@ -37,10 +37,10 @@ snapshot are exported on exit — traces as JSONL when ``PATH`` ends in
 stdout stays machine-parseable.
 
 Live telemetry rides on the same flags: ``--metrics-port`` serves an
-OpenMetrics ``/metrics`` endpoint for the duration of the run,
-``--metrics-stream`` appends windowed JSONL summaries, and
-``--profile`` attaches the statistical sampling profiler (folded
-stacks on exit).  See ``docs/observability.md``.
+OpenMetrics ``/metrics`` endpoint over the run's own registry for the
+duration of the run, and ``--profile`` attaches the statistical
+sampling profiler (folded stacks on exit).  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "record counters/gauges/histograms and write the JSON "
             "snapshot here; with no PATH, record in-process only (for "
-            "--metrics-port / --metrics-stream)"
+            "--metrics-port)"
         ),
     )
     group.add_argument(
@@ -113,23 +113,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
             "(plus /health) for the duration of the run; 0 picks a free "
             "port (also $REPRO_METRICS_PORT); implies metrics recording"
         ),
-    )
-    group.add_argument(
-        "--metrics-stream",
-        default=None,
-        metavar="PATH",
-        help=(
-            "append a windowed JSONL metrics summary to PATH every "
-            "--metrics-interval seconds — the scrape-free live fallback "
-            "(also $REPRO_METRICS_STREAM); implies metrics recording"
-        ),
-    )
-    group.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="tick period for --metrics-stream (default: 1.0)",
     )
     group.add_argument(
         "--profile",
@@ -1084,9 +1067,9 @@ def _configure_observability(
     """Install tracer/registry and live facilities per CLI flags/env.
 
     Returns ``(trace_path, metrics_path, profile_path)``.  A live
-    endpoint (``--metrics-port`` / ``--metrics-stream``) implies metric
-    recording even without ``--metrics``; ``--metrics`` with no PATH
-    records in-process only (``metrics_path`` comes back ``None``, so
+    endpoint (``--metrics-port``) implies metric recording even
+    without ``--metrics``; ``--metrics`` with no PATH records
+    in-process only (``metrics_path`` comes back ``None``, so
     nothing is exported at exit).
     """
     trace_path = getattr(args, "trace", None)
@@ -1105,14 +1088,10 @@ def _configure_observability(
                     f"{obs.METRICS_PORT_ENV_VAR} must be an integer, "
                     f"got {env_port!r}"
                 )
-    stream_path = getattr(args, "metrics_stream", None) or _env_str(
-        obs.METRICS_STREAM_ENV_VAR
-    )
     profile_path = getattr(args, "profile", None) or _env_str(
         obs.PROFILE_ENV_VAR
     )
-    live_requested = metrics_port is not None or stream_path is not None
-    enable_metrics = metrics_path is not None or live_requested
+    enable_metrics = metrics_path is not None or metrics_port is not None
     enable_trace = bool(trace_path)
     if enable_trace or enable_metrics:
         obs.configure(
@@ -1125,10 +1104,6 @@ def _configure_observability(
         obs.log.progress(
             f"serving live metrics on "
             f"http://{server.host}:{server.port}/metrics"
-        )
-    if stream_path is not None:
-        obs.start_metrics_stream(
-            stream_path, interval=getattr(args, "metrics_interval", 1.0)
         )
     if profile_path is not None:
         obs.start_profiler()
@@ -1182,8 +1157,6 @@ def _export_observability(
             "metrics",
             "trace_memory",
             "metrics_port",
-            "metrics_stream",
-            "metrics_interval",
             "profile",
         )
     }

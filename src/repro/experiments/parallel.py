@@ -38,8 +38,6 @@ through :func:`iter_outcomes`.
 from __future__ import annotations
 
 import os
-import queue as queue_module
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -305,36 +303,8 @@ def run_cell(
 _WORKER_CONFIG: Optional[ExperimentConfig] = None
 _WORKER_MEMO: Optional[WorkloadMemo] = None
 
-#: How often a live worker ships its in-progress metrics snapshot.
-LIVE_SHIP_INTERVAL = 0.25
-
-
-def _live_shipper(channel: Any, interval: float) -> None:
-    """Worker-side daemon: periodically ship the in-progress snapshot.
-
-    The shipped snapshot is *cumulative since the worker's last cell
-    drain* — a plain ``snapshot()``, never a drain — so the
-    authoritative per-cell payloads are untouched and the parent can
-    overlay it on the merged registry for the live view.  Any channel
-    failure (the parent went away) silently ends shipping; live
-    telemetry must never take a worker down.
-    """
-    pid = os.getpid()
-    while True:
-        time.sleep(interval)
-        try:
-            registry = obs.get_metrics()
-            if registry.enabled:
-                channel.put((pid, registry.snapshot()))
-        except Exception:  # noqa: BLE001 — parent gone / manager shut down
-            return
-
-
 def _initialize_worker(
-    config: ExperimentConfig,
-    obs_options: Optional[Dict[str, bool]] = None,
-    live_channel: Any = None,
-    live_interval: float = LIVE_SHIP_INTERVAL,
+    config: ExperimentConfig, obs_options: Optional[Dict[str, bool]] = None
 ) -> None:
     global _WORKER_CONFIG, _WORKER_MEMO
     import repro.baselines  # noqa: F401  (register allocators in the child)
@@ -345,13 +315,6 @@ def _initialize_worker(
     # switches.  Crucial under fork: a child must not inherit (and later
     # re-ship) spans the parent already recorded.
     obs.configure(**(obs_options or {}))
-    if live_channel is not None and obs.get_metrics().enabled:
-        threading.Thread(
-            target=_live_shipper,
-            args=(live_channel, live_interval),
-            name="repro-live-shipper",
-            daemon=True,
-        ).start()
 
 
 def _run_cell_in_worker(spec: CellSpec) -> CellOutcome:
@@ -369,67 +332,6 @@ def _run_cell_in_worker(spec: CellSpec) -> CellOutcome:
             metrics=registry.drain_snapshot() if registry.enabled else None,
         )
     return outcome
-
-
-class _LiveCollector:
-    """Parent-side drain of worker live snapshots into obs overlays.
-
-    Active only when ``enabled``, a live consumer (``/metrics`` server
-    or JSONL stream) is running *and* metrics are enabled; otherwise
-    ``queue`` stays ``None`` and the pool runs exactly as before — zero
-    extra processes, threads or pickling.  When active, a
-    ``multiprocessing.Manager`` queue (picklable through the pool
-    initializer, unlike a raw ``mp.Queue``) carries ``(pid, snapshot)``
-    pairs from the worker shippers to a parent daemon thread that folds
-    them into :func:`repro.obs.update_live_overlay`.  Overlays feed
-    only the live view; the authoritative grid-order merge is
-    untouched, so final metrics stay bitwise-identical to an inline run.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self._enabled = enabled
-        self.queue: Any = None
-        self._manager: Any = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-
-    def __enter__(self) -> "_LiveCollector":
-        if not (
-            self._enabled
-            and obs.live_telemetry_active()
-            and obs.get_metrics().enabled
-        ):
-            return self
-        import multiprocessing
-
-        self._manager = multiprocessing.Manager()
-        self.queue = self._manager.Queue()
-        self._thread = threading.Thread(
-            target=self._drain, name="repro-live-drain", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _drain(self) -> None:
-        while not self._stop.is_set():
-            try:
-                pid, snapshot = self.queue.get(timeout=0.2)
-            except queue_module.Empty:
-                continue
-            except Exception:  # noqa: BLE001 — manager torn down mid-get
-                return
-            obs.update_live_overlay(pid, snapshot)
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join(timeout=2.0)
-        if self._manager is not None:
-            self._manager.shutdown()
-        # The grid-order merge already holds everything the workers
-        # produced; lingering overlays would double-count it.
-        obs.clear_live_overlays()
-        return False
 
 
 def _collect_outcome(
@@ -501,12 +403,9 @@ def _collect_outcome(
                 root_attributes["queue_wait_seconds"] = queue_wait
             tracer.adopt(outcome.spans, root_attributes=root_attributes)
         if outcome.metrics and registry.enabled:
+            # The one place a worker's counters and heartbeat gauges
+            # reach the registry — and so the live ``/metrics`` view.
             registry.merge(outcome.metrics)
-            if outcome.worker_pid is not None:
-                # The authoritative drain superseded whatever live
-                # overlay this worker last shipped; the next periodic
-                # ship (covering its next cell) restores the overlay.
-                obs.clear_live_overlay(outcome.worker_pid)
         if outcome.spans is not None or outcome.metrics is not None:
             outcome = replace(outcome, spans=None, metrics=None)
     return outcome
@@ -518,7 +417,6 @@ def iter_outcomes(
     *,
     workers: int = 1,
     cell_timeout: Optional[float] = None,
-    live: bool = True,
 ) -> Iterator[CellOutcome]:
     """Run ``cells``, yielding each outcome in the given order.
 
@@ -527,9 +425,9 @@ def iter_outcomes(
     process pool and yields each outcome as soon as it and every
     earlier cell are collected — the ordered merge that makes every
     worker count reproduce the same results exactly, and that lets a
-    shard record each cell the moment it lands.  ``live=False`` keeps
-    the pool's workers from shipping live metrics snapshots (see
-    :class:`_LiveCollector`).
+    shard record each cell the moment it lands.  A pooled cell's
+    metrics merge into the registry as it is yielded, so ``/metrics``
+    and the final snapshot see it at the same moment.
     """
     cells = list(cells)
     if workers <= 1 or len(cells) <= 1:
@@ -539,10 +437,10 @@ def iter_outcomes(
         return
     tracer = obs.get_tracer()
     registry = obs.get_metrics()
-    with _LiveCollector(enabled=live) as collector, ProcessPoolExecutor(
+    with ProcessPoolExecutor(
         max_workers=min(workers, len(cells)),
         initializer=_initialize_worker,
-        initargs=(config, obs.worker_options(), collector.queue),
+        initargs=(config, obs.worker_options()),
     ) as pool:
         submitted_unix = time.time()
         futures = [pool.submit(_run_cell_in_worker, spec) for spec in cells]

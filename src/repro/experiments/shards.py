@@ -475,16 +475,13 @@ def run_shard(
         ):
             recorder = _ShardRecorder(config, store, len(specs), progress)
             # Stream each cell into the store, in grid order, as it
-            # lands.  Pool workers ship no live metrics snapshots: the
-            # live view of a shard run follows the collected cells.
-            # ``outcomes`` leads the zip, so the generator runs to its
+            # lands.  ``outcomes`` leads the zip, so the generator runs to its
             # end and shuts its pool down inside this span.
             outcomes = iter_outcomes(
                 config,
                 pending,
                 workers=resolved,
                 cell_timeout=cell_timeout,
-                live=False,
             )
             for outcome, spec in zip(outcomes, pending):
                 recorder.record(spec, outcome)

@@ -26,9 +26,7 @@ Live telemetry (all opt-in, see ``docs/observability.md``):
 
 * :func:`start_metrics_server` — background ``/metrics`` endpoint
   (``--metrics-port`` / ``REPRO_METRICS_PORT``) serving the OpenMetrics
-  rendering of :func:`live_snapshot`;
-* :func:`start_metrics_stream` — scrape-free periodic JSONL summaries
-  (``--metrics-stream`` / ``REPRO_METRICS_STREAM``);
+  rendering of ``get_metrics().snapshot()``, taken at scrape time;
 * :func:`start_profiler` — statistical sampling profiler with
   folded-stack export (``--profile`` / ``REPRO_PROFILE``);
 * :func:`heartbeat` — throttled progress gauges for solver hot loops
@@ -38,9 +36,11 @@ Live telemetry (all opt-in, see ``docs/observability.md``):
 Instrumented code talks to the active instances through
 :func:`span` / :func:`get_metrics`; worker processes install their own via
 :func:`configure` and ship finished spans / counter snapshots back over
-the experiment result pipe (see :mod:`repro.experiments.parallel`).
-The module-level singletons are guarded by a lock so the background
-exposition/stream threads can never observe a half-swapped pair.
+the experiment result pipe (see :mod:`repro.experiments.parallel`), so a
+worker's counters reach the registry — and ``/metrics`` — when its
+cell's drain merges.  The module-level singletons are guarded by a lock
+so the background exposition thread can never observe a half-swapped
+pair.
 """
 
 from __future__ import annotations
@@ -50,11 +50,7 @@ import threading
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.obs import log  # noqa: F401  (re-exported submodule)
-from repro.obs.exposition import (
-    MetricsServer,
-    MetricsStream,
-    render_openmetrics,
-)
+from repro.obs.exposition import MetricsServer, render_openmetrics
 from repro.obs.manifest import build_manifest, config_digest, write_manifest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -64,13 +60,7 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
 )
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.timeseries import (
-    EwmaRate,
-    Heartbeat,
-    MetricWindows,
-    P2Quantile,
-    SlidingWindow,
-)
+from repro.obs.timeseries import EwmaRate, Heartbeat
 from repro.obs.tracing import (
     JSONL_SCHEMA_VERSION,
     NULL_TRACER,
@@ -85,7 +75,6 @@ __all__ = [
     "TRACE_ENV_VAR",
     "METRICS_ENV_VAR",
     "METRICS_PORT_ENV_VAR",
-    "METRICS_STREAM_ENV_VAR",
     "PROFILE_ENV_VAR",
     "Tracer",
     "NullTracer",
@@ -96,13 +85,9 @@ __all__ = [
     "JSONL_SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "MetricsServer",
-    "MetricsStream",
     "SamplingProfiler",
-    "SlidingWindow",
     "EwmaRate",
-    "P2Quantile",
     "Heartbeat",
-    "MetricWindows",
     "render_openmetrics",
     "chrome_trace_events",
     "jsonl_to_chrome",
@@ -119,13 +104,7 @@ __all__ = [
     "reset",
     "worker_options",
     "heartbeat",
-    "live_snapshot",
-    "update_live_overlay",
-    "clear_live_overlay",
-    "clear_live_overlays",
-    "live_telemetry_active",
     "start_metrics_server",
-    "start_metrics_stream",
     "start_profiler",
     "get_profiler",
     "stop_live",
@@ -141,9 +120,6 @@ METRICS_ENV_VAR = "REPRO_METRICS"
 #: ``REPRO_METRICS_PORT=<port>`` serves live ``/metrics`` during a run.
 METRICS_PORT_ENV_VAR = "REPRO_METRICS_PORT"
 
-#: ``REPRO_METRICS_STREAM=<path.jsonl>`` appends periodic summaries.
-METRICS_STREAM_ENV_VAR = "REPRO_METRICS_STREAM"
-
 #: ``REPRO_PROFILE=<path.folded>`` attaches the sampling profiler.
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 
@@ -157,16 +133,7 @@ _metrics: Union[MetricsRegistry, NullMetricsRegistry] = NULL_METRICS
 
 # Live facilities (all None unless explicitly started).
 _metrics_server: Optional[MetricsServer] = None
-_metrics_stream: Optional[MetricsStream] = None
 _profiler: Optional[SamplingProfiler] = None
-
-#: Latest *cumulative* metrics snapshot shipped by each live worker,
-#: keyed by worker pid.  Overlays feed only :func:`live_snapshot` —
-#: the authoritative end-of-run registry is still built exclusively
-#: from per-cell drain snapshots merged in grid order, which is what
-#: keeps serial and parallel final metrics bitwise identical.
-_live_overlays: Dict[int, Dict[str, Any]] = {}
-_overlay_lock = threading.Lock()
 
 
 # ----------------------------------------------------------------------
@@ -267,10 +234,9 @@ def configure_from_env() -> Tuple[Optional[str], Optional[str]]:
 def reset() -> None:
     """Restore the disabled (no-op) tracer and registry.
 
-    Also closes the tracer (stopping any ``tracemalloc`` it started),
-    tears down any live facilities (server, stream, profiler) and
-    drops worker overlays, so tests and sequential CLI invocations
-    always start from a clean slate.
+    Also closes the tracer (stopping any ``tracemalloc`` it started)
+    and tears down any live facilities (server, profiler), so tests
+    and sequential CLI invocations always start from a clean slate.
     """
     global _tracer, _metrics
     stop_live()
@@ -278,8 +244,6 @@ def reset() -> None:
         _tracer.close()
         _tracer = NULL_TRACER
         _metrics = NULL_METRICS
-    with _overlay_lock:
-        _live_overlays.clear()
 
 
 def worker_options() -> dict:
@@ -301,75 +265,21 @@ def worker_options() -> dict:
 # ----------------------------------------------------------------------
 # Live telemetry
 # ----------------------------------------------------------------------
-def live_snapshot() -> Dict[str, Any]:
-    """The live metrics view: local registry plus worker overlays.
-
-    In a serial run this is exactly ``get_metrics().snapshot()``.  In a
-    parallel run the latest cumulative snapshot each worker shipped is
-    merged on top (counters/histograms add, gauges last-write in pid
-    order) into a throwaway registry — the authoritative registry is
-    never written by the live path, so enabling live telemetry cannot
-    perturb final results or their serial/parallel parity.
-    """
-    base = _metrics.snapshot()
-    with _overlay_lock:
-        if not _live_overlays:
-            return base
-        overlays = [snapshot for _, snapshot in sorted(_live_overlays.items())]
-    view = MetricsRegistry()
-    view.merge(base)
-    for overlay in overlays:
-        view.merge(overlay)
-    return view.snapshot()
-
-
-def update_live_overlay(pid: int, snapshot: Dict[str, Any]) -> None:
-    """Record a worker's latest cumulative snapshot (live view only)."""
-    with _overlay_lock:
-        _live_overlays[pid] = snapshot
-
-
-def clear_live_overlay(pid: int) -> None:
-    """Drop a worker's overlay — its authoritative drain arrived."""
-    with _overlay_lock:
-        _live_overlays.pop(pid, None)
-
-
-def clear_live_overlays() -> None:
-    """Drop every worker overlay (the pool finished or was torn down)."""
-    with _overlay_lock:
-        _live_overlays.clear()
-
-
-def live_telemetry_active() -> bool:
-    """True when a live consumer (server or stream) is running."""
-    return _metrics_server is not None or _metrics_stream is not None
-
-
 def start_metrics_server(
     port: int, *, host: str = "127.0.0.1"
 ) -> MetricsServer:
-    """Start (or return) the background ``/metrics`` endpoint."""
+    """Start (or return) the background ``/metrics`` endpoint.
+
+    Each scrape renders the registry installed at that moment, so a
+    later :func:`configure` is picked up without a restart.
+    """
     global _metrics_server
     with _state_lock:
         if _metrics_server is None:
             _metrics_server = MetricsServer(
-                live_snapshot, host=host, port=port
+                lambda: get_metrics().snapshot(), host=host, port=port
             ).start()
         return _metrics_server
-
-
-def start_metrics_stream(
-    path: str, *, interval: float = 1.0
-) -> MetricsStream:
-    """Start (or return) the periodic JSONL metrics stream."""
-    global _metrics_stream
-    with _state_lock:
-        if _metrics_stream is None:
-            _metrics_stream = MetricsStream(
-                live_snapshot, path, interval=interval
-            ).start()
-        return _metrics_stream
 
 
 def start_profiler(*, interval: float = 0.005) -> SamplingProfiler:
@@ -393,19 +303,15 @@ def stop_live() -> Dict[str, Any]:
     The profiler instance is returned still holding its samples so the
     caller can ``export_folded`` after stopping.
     """
-    global _metrics_server, _metrics_stream, _profiler
+    global _metrics_server, _profiler
     with _state_lock:
-        server, stream, profiler = _metrics_server, _metrics_stream, _profiler
+        server, profiler = _metrics_server, _profiler
         _metrics_server = None
-        _metrics_stream = None
         _profiler = None
     stopped: Dict[str, Any] = {}
     if server is not None:
         server.stop()
         stopped["server"] = server
-    if stream is not None:
-        stream.stop()
-        stopped["stream"] = stream
     if profiler is not None:
         profiler.stop()
         stopped["profiler"] = profiler

@@ -1,23 +1,19 @@
-"""Metrics exposition: OpenMetrics text rendering and live endpoints.
+"""Metrics exposition: OpenMetrics text rendering and the live endpoint.
 
-Two ways to look at a :class:`~repro.obs.metrics.MetricsRegistry` while
-the run that feeds it is still going:
+The one way to look at a :class:`~repro.obs.metrics.MetricsRegistry`
+while the run that feeds it is still going:
 
 * :func:`render_openmetrics` turns a registry snapshot into the
   Prometheus / OpenMetrics text format — counters become ``*_total``,
   histograms get cumulative ``le`` buckets plus ``_sum``/``_count``
   (and ``_min``/``_max`` gauges from the schema-2 extremes);
-  :class:`MetricsServer` serves that text from a background
+* :class:`MetricsServer` serves that text from a background
   ``http.server`` thread at ``/metrics`` (plus a ``/health`` probe),
   enabled by ``--metrics-port`` / ``REPRO_METRICS_PORT``.
-* :class:`MetricsStream` is the scrape-free fallback: a background
-  thread that periodically appends a windowed JSON summary (via
-  :class:`~repro.obs.timeseries.MetricWindows`) to a JSONL file,
-  enabled by ``--metrics-stream`` / ``REPRO_METRICS_STREAM``.
 
-Both read the registry through a snapshot callable, never touching
-instrument internals — the registry's structure lock makes concurrent
-snapshotting safe against the recording thread.
+The server reads the registry through a snapshot callable at scrape
+time, never touching instrument internals — the registry's structure
+lock makes concurrent snapshotting safe against the recording thread.
 """
 
 from __future__ import annotations
@@ -27,16 +23,12 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-from repro.obs.timeseries import MetricWindows
 
 __all__ = [
     "render_openmetrics",
     "sanitize_metric_name",
     "MetricsServer",
-    "MetricsStream",
 ]
 
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
@@ -306,83 +298,3 @@ class MetricsServer:
         self._httpd = None
         self._thread = None
 
-
-class MetricsStream:
-    """Scrape-free fallback: periodic windowed JSONL summaries.
-
-    A daemon thread samples the snapshot callable every ``interval``
-    seconds, folds it into a :class:`MetricWindows`, and appends one
-    JSON line (``{"ts": ..., "tick": ..., "window_seconds": ...,
-    "counters": ..., "gauges": ...}``) to ``path``.  ``stop()`` writes
-    one final line so short runs always leave at least one record.
-    """
-
-    def __init__(
-        self,
-        snapshot_fn: Callable[[], Dict[str, Any]],
-        path: Union[str, Path],
-        *,
-        interval: float = 1.0,
-        window: float = 60.0,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self._snapshot_fn = snapshot_fn
-        self.path = Path(path)
-        self.interval = float(interval)
-        self._windows = MetricWindows(window=window)
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._tick = 0
-        self._write_lock = threading.Lock()
-
-    @property
-    def ticks(self) -> int:
-        return self._tick
-
-    def _write_tick(self) -> None:
-        now = time.monotonic()
-        self._windows.sample(self._snapshot_fn(), now)
-        summary = self._windows.summary(now)
-        self._tick += 1
-        record = {
-            "type": "metrics_window",
-            "schema": 1,
-            "ts": time.time(),
-            "tick": self._tick,
-        }
-        record.update(summary)
-        line = json.dumps(record, sort_keys=True)
-        with self._write_lock:
-            with self.path.open("a") as handle:
-                handle.write(line + "\n")
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            try:
-                self._write_tick()
-            except Exception:  # pragma: no cover - a tick must never kill a run
-                pass
-
-    def start(self) -> "MetricsStream":
-        if self._thread is not None:
-            return self
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-metrics-stream", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop_event.set()
-        self._thread.join(timeout=2.0)
-        self._thread = None
-        # Final summary so even sub-interval runs leave a record.
-        try:
-            self._write_tick()
-        except OSError:  # pragma: no cover - final flush is best-effort
-            pass

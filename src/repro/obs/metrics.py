@@ -185,9 +185,8 @@ class MetricsRegistry:
     """Collecting registry of named counters, gauges and histograms.
 
     A small structure lock protects the instrument dictionaries so a
-    background reader (the ``/metrics`` exposition thread, a worker's
-    periodic live-snapshot shipper) can iterate them while the owning
-    thread keeps creating instruments.  Instrument *updates* stay
+    background reader (the ``/metrics`` exposition thread) can iterate
+    them while the owning thread keeps creating instruments.  Instrument *updates* stay
     lock-free: the recording thread is the only writer, and readers
     tolerate the transiently torn histogram a concurrent ``observe``
     can produce — the authoritative end-of-run snapshot is taken by the

@@ -262,6 +262,10 @@ class Tracer:
         self.pid = os.getpid()
         self.track_memory = track_memory
         self._memory_started = False
+        # Running peak of each open span, outermost first.  The global
+        # tracemalloc peak is reset at every span entry, so an open
+        # span folds in what it saw before a child reset it.
+        self._memory_peaks: List[int] = []
 
     # ------------------------------------------------------------------
     # Recording
@@ -288,8 +292,12 @@ class Tracer:
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._memory_started = True
+        peaks = self._memory_peaks
+        if peaks:
+            peaks[-1] = max(peaks[-1], tracemalloc.get_traced_memory()[1])
         if hasattr(tracemalloc, "reset_peak"):
             tracemalloc.reset_peak()
+        peaks.append(0)
 
     def close(self) -> None:
         """Stop ``tracemalloc`` if this tracer started it.
@@ -302,9 +310,15 @@ class Tracer:
             tracemalloc.stop()
 
     def _memory_exit(self) -> Optional[int]:
+        peaks = self._memory_peaks
+        seen = peaks.pop()
         if not tracemalloc.is_tracing():  # pragma: no cover - defensive
             return None
-        return tracemalloc.get_traced_memory()[1]
+        peak = max(seen, tracemalloc.get_traced_memory()[1])
+        if peaks:
+            # The enclosing span was open for all of this one.
+            peaks[-1] = max(peaks[-1], peak)
+        return peak
 
     # ------------------------------------------------------------------
     # Access / merging

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import threading
 import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
 from repro.workloads.generator import WorkloadSpec, generate_database
@@ -44,23 +47,61 @@ PAPER_GOLDENS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_tracemalloc():
-    """Fail a test that leaves ``tracemalloc`` on when it found it off.
+def _repro_threads() -> set:
+    """Live background threads of the package (metrics server, profiler)."""
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-")
+    }
 
-    Allocation tracing left running slows every later test several
-    fold.  The guard stops it so the report names only the test that
-    leaked, and fails that test: the fix belongs where the tracing was
-    started (``Tracer.close`` or ``obs.reset``), not here.
+
+def _repro_env() -> set:
+    return {name for name in os.environ if name.startswith("REPRO_")}
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_state():
+    """Fail a test that leaves process-wide state changed from its start.
+
+    Guarded: ``tracemalloc`` tracing, an enabled global tracer or
+    metrics registry, a running metrics server or profiler thread, and
+    a ``REPRO_*`` environment variable that was not set before.  Leaked
+    state changes what later tests measure (allocation tracing alone
+    slows them several fold), so the guard restores it, then fails the
+    test that leaked it: the fix belongs where the state was made
+    (``obs.reset``, ``Tracer.close``, the facility's ``stop()``,
+    ``monkeypatch.setenv``), not here.
     """
     was_tracing = tracemalloc.is_tracing()
+    tracer, registry = obs.get_tracer(), obs.get_metrics()
+    threads = _repro_threads()
+    environment = _repro_env()
     yield
+    leaks = []
+    if not was_tracing and tracemalloc.is_tracing():
+        leaks.append("tracemalloc tracing on")
+    if obs.get_tracer().enabled and obs.get_tracer() is not tracer:
+        leaks.append("an enabled global tracer")
+    if obs.get_metrics().enabled and obs.get_metrics() is not registry:
+        leaks.append("an enabled global metrics registry")
+    running = sorted(thread.name for thread in _repro_threads() - threads)
+    if running:
+        leaks.append("running thread(s) " + ", ".join(running))
+    new_variables = sorted(_repro_env() - environment)
+    if new_variables:
+        leaks.append("new environment variable(s) " + ", ".join(new_variables))
+    if not leaks:
+        return
+    obs.reset()
     if not was_tracing and tracemalloc.is_tracing():
         tracemalloc.stop()
-        pytest.fail(
-            "the test left tracemalloc tracing on; stop it where it was "
-            "started (Tracer.close or obs.reset)"
-        )
+    for name in new_variables:
+        del os.environ[name]
+    pytest.fail(
+        "the test left " + "; ".join(leaks) + ". Undo it where it was "
+        "made (obs.reset, Tracer.close, the facility's stop(), "
+        "monkeypatch.setenv)"
+    )
 
 
 @pytest.fixture(scope="session")

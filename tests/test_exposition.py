@@ -16,7 +16,6 @@ import pytest
 from repro import obs
 from repro.obs.exposition import (
     MetricsServer,
-    MetricsStream,
     render_openmetrics,
     sanitize_metric_name,
 )
@@ -156,24 +155,3 @@ class TestMetricsServer:
         second = scrape_counter()
         assert (first, second) == (5.0, 10.0)
 
-
-class TestMetricsStream:
-    def test_stream_writes_window_summaries(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("moves").inc(10)
-        registry.gauge("cost").set(50.0)
-        path = tmp_path / "stream.jsonl"
-        stream = MetricsStream(registry.snapshot, str(path), interval=3600.0)
-        stream.start()
-        stream.stop()  # final tick is written on stop
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert lines, "stream wrote no ticks"
-        tick = lines[-1]
-        assert tick["type"] == "metrics_window"
-        assert tick["schema"] == 1
-        assert tick["counters"]["moves"]["total"] == 10
-        assert tick["gauges"]["cost"]["last"] == 50.0

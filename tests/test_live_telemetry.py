@@ -1,16 +1,15 @@
-"""Live telemetry must never perturb the authoritative metrics.
+"""The live ``/metrics`` view reads the run's own registry.
 
-The live path (periodic worker snapshots merged into a throwaway
-overlay registry, the OpenMetrics endpoint, the JSONL stream) is a
-*view*; the per-cell drain-merge pipeline stays the source of truth.
-These tests pin that invariant:
+The endpoint renders ``obs.get_metrics().snapshot()`` at scrape time;
+a pooled worker's counters reach that registry when its cell's drain
+merges, in grid order.  These tests pin that:
 
-* overlay units — ``obs.live_snapshot`` merges worker overlays
-  additively and never mutates the in-process registry;
 * parity — the final snapshot of a ``workers=2`` sweep is identical
-  with live telemetry on and off, and identical to the serial run,
-  once wall-clock-derived instruments (``*seconds*``, ``*heartbeat*``)
-  are set aside;
+  with the endpoint on and off, and identical to the serial run, once
+  wall-clock-derived instruments (``*seconds*``, ``*heartbeat*``) are
+  set aside;
+* per-cell visibility — after the k-th outcome of a pooled run is
+  yielded, a scrape reads exactly k cells;
 * the endpoint serves the merged result after the pool drains.
 """
 
@@ -25,8 +24,8 @@ import pytest
 
 from repro import obs
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import build_cell_grid, iter_outcomes
 from repro.experiments.runner import run_experiment
-from repro.obs.metrics import MetricsRegistry
 
 _FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=False) != "fork"
@@ -81,74 +80,40 @@ def deterministic_part(snapshot):
     )
 
 
-class TestLiveOverlay:
-    def test_without_overlays_live_snapshot_is_plain_snapshot(self):
-        obs.configure(metrics=True)
-        obs.get_metrics().counter("x").inc(2)
-        assert obs.live_snapshot() == obs.get_metrics().snapshot()
+def scrape(port):
+    url = f"http://127.0.0.1:{port}/metrics"
+    with urllib.request.urlopen(url, timeout=5) as response:
+        return response.read().decode("utf-8")
 
-    def test_overlays_merge_additively_in_the_view_only(self):
-        obs.configure(metrics=True)
-        obs.get_metrics().counter("moves").inc(10)
-        worker = MetricsRegistry()
-        worker.counter("moves").inc(5)
-        worker.counter("worker.only").inc(1)
-        obs.update_live_overlay(4242, worker.snapshot())
-        live = obs.live_snapshot()
-        assert live["counters"]["moves"] == 15
-        assert live["counters"]["worker.only"] == 1
-        # The authoritative registry is untouched by the overlay.
-        assert obs.get_metrics().snapshot()["counters"]["moves"] == 10
-        assert "worker.only" not in obs.get_metrics().snapshot()["counters"]
 
-    def test_overlay_replacement_is_not_cumulative(self):
-        obs.configure(metrics=True)
-        worker = MetricsRegistry()
-        worker.counter("moves").inc(5)
-        obs.update_live_overlay(1, worker.snapshot())
-        worker.counter("moves").inc(5)  # worker ships cumulative totals
-        obs.update_live_overlay(1, worker.snapshot())
-        assert obs.live_snapshot()["counters"]["moves"] == 10
-
-    def test_clear_overlay_drops_the_worker_view(self):
-        obs.configure(metrics=True)
-        worker = MetricsRegistry()
-        worker.counter("moves").inc(5)
-        obs.update_live_overlay(1, worker.snapshot())
-        obs.clear_live_overlay(1)
-        assert "moves" not in obs.live_snapshot()["counters"]
-        obs.update_live_overlay(2, worker.snapshot())
-        obs.clear_live_overlays()
-        assert "moves" not in obs.live_snapshot()["counters"]
+def cells_total(body):
+    """``repro_experiment_cells_total`` in a scrape, 0 when absent."""
+    for line in body.splitlines():
+        if line.startswith("repro_experiment_cells_total "):
+            return int(line.split()[1])
+    return 0
 
 
 @_FORK_ONLY
 class TestLiveParity:
-    def _run(self, *, workers=None, live=False, tmp_path=None):
+    def _run(self, *, workers=None, live=False):
         obs.reset()
         obs.configure(metrics=True)
         if live:
             obs.start_metrics_server(0)
-            obs.start_metrics_stream(
-                str(tmp_path / f"stream-{workers}.jsonl"), interval=3600.0
-            )
         result = run_experiment(small_config(), workers=workers)
         snapshot = obs.get_metrics().snapshot()
         obs.stop_live()
         return result, snapshot
 
-    def test_parallel_snapshot_unchanged_by_live_telemetry(self, tmp_path):
+    def test_parallel_snapshot_unchanged_by_live_telemetry(self):
         _, plain = self._run(workers=2)
-        _, live = self._run(workers=2, live=True, tmp_path=tmp_path)
+        _, live = self._run(workers=2, live=True)
         assert deterministic_part(plain) == deterministic_part(live)
 
-    def test_serial_and_parallel_agree_under_live_telemetry(self, tmp_path):
-        result_serial, serial = self._run(
-            workers=None, live=True, tmp_path=tmp_path
-        )
-        result_parallel, parallel = self._run(
-            workers=2, live=True, tmp_path=tmp_path
-        )
+    def test_serial_and_parallel_agree_under_live_telemetry(self):
+        result_serial, serial = self._run(workers=None, live=True)
+        result_parallel, parallel = self._run(workers=2, live=True)
         # The computed rows are identical, and both runs take the same
         # cell path, so every deterministic instrument comes out of the
         # worker drain-merge with the exact value the in-process run
@@ -160,36 +125,23 @@ class TestLiveParity:
         ]
         assert deterministic_part(serial) == deterministic_part(parallel)
 
-    def test_no_overlays_survive_the_pool(self, tmp_path):
-        obs.configure(metrics=True)
-        obs.start_metrics_server(0)
-        run_experiment(small_config(), workers=2)
-        # Pool teardown cleared every worker overlay: the live view is
-        # exactly the in-process registry again.
-        assert obs.live_snapshot() == obs.get_metrics().snapshot()
-        obs.stop_live()
-
-    def test_endpoint_serves_merged_worker_metrics(self, tmp_path):
+    def test_endpoint_serves_merged_worker_metrics(self):
         obs.configure(metrics=True)
         server = obs.start_metrics_server(0)
         run_experiment(small_config(), workers=2)
-        url = f"http://127.0.0.1:{server.port}/metrics"
-        with urllib.request.urlopen(url, timeout=5) as response:
-            body = response.read().decode("utf-8")
+        body = scrape(server.port)
         grid = 2 * 2 * 2  # sweep values x replications x algorithms
         assert f"repro_experiment_cells_total {grid}" in body
         obs.stop_live()
 
-    def test_stream_final_tick_reflects_the_run(self, tmp_path):
+    def test_each_merged_cell_is_visible_to_the_next_scrape(self):
         obs.configure(metrics=True)
-        path = tmp_path / "stream.jsonl"
-        obs.start_metrics_stream(str(path), interval=3600.0)
-        run_experiment(small_config(), workers=2)
+        server = obs.start_metrics_server(0)
+        config = small_config()
+        cells = build_cell_grid(config)
+        seen = []
+        for outcome in iter_outcomes(config, cells, workers=2):
+            assert outcome.error is None
+            seen.append(cells_total(scrape(server.port)))
+        assert seen == list(range(1, len(cells) + 1))
         obs.stop_live()
-        ticks = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert ticks
-        assert ticks[-1]["counters"]["experiment.cells"]["total"] == 8

@@ -129,6 +129,19 @@ class TestTracer:
         assert record.peak_memory > 0
         assert not tracemalloc.is_tracing()
 
+    def test_nested_span_keeps_its_parents_peak(self):
+        tracer = Tracer(track_memory=True)
+        with tracer.span("outer"):
+            block = [0] * (2 * 2**20)  # 16 MiB of list slots
+            del block
+            with tracer.span("inner"):
+                pass
+        tracer.close()
+        inner, outer = tracer.records
+        assert (inner.name, outer.name) == ("inner", "outer")
+        assert outer.peak_memory >= 16 * 2**20
+        assert inner.peak_memory < 2**20
+
     def test_reset_stops_the_tracemalloc_it_started(self):
         assert not tracemalloc.is_tracing()
         obs.configure(trace=True, track_memory=True)
